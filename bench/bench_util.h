@@ -19,8 +19,6 @@
 //   --trace-out FILE     write a timelines-only manifest (run header +
 //                 timeline + run_end) — for fine-grained space traces kept
 //                 apart from the metrics manifest.
-//   --trace-stride N     additionally sample space mid-list every N pairs
-//                 in traced trials (default: list boundaries only).
 //   --chrome-trace FILE  write a Chrome trace-event JSON file (loadable in
 //                 Perfetto / chrome://tracing) with execution spans: bench
 //                 phases, trials on their worker lanes, streaming passes,
@@ -143,7 +141,6 @@ struct BenchOptions {
   int threads = 1;  // resolved worker count (>= 1)
   std::string metrics_out;       // --metrics-out FILE ("" = off)
   std::string trace_out;         // --trace-out FILE ("" = off)
-  std::uint64_t trace_stride = 0;  // --trace-stride N (0 = boundaries only)
   std::string chrome_trace;      // --chrome-trace FILE ("" = off)
   bool prof = false;             // --prof (hardware counters)
   std::string log_level;         // --log-level LVL ("" = env/default)
@@ -188,7 +185,6 @@ class Observability {
   }
 
   void Configure(const BenchOptions& opts, int argc, char** argv) {
-    trace_stride_ = opts.trace_stride;
     if (!opts.chrome_trace.empty()) {
       chrome_trace_path_ = opts.chrome_trace;
       trace_session_ = std::make_unique<obs::TraceSession>();
@@ -235,7 +231,6 @@ class Observability {
     run.Set("build_info", obs::BuildInfoJson());
     run.Set("threads", obs::Json(opts.threads));
     run.Set("full", obs::Json(opts.full));
-    run.Set("trace_stride", obs::Json(opts.trace_stride));
     run.Set("prof", obs::Json(opts.prof));
     obs::Json args = obs::Json::Array();
     for (int i = 1; i < argc; ++i) args.Push(obs::Json(argv[i]));
@@ -246,7 +241,6 @@ class Observability {
   bool enabled() const {
     return metrics_writer_.has_value() || trace_writer_.has_value();
   }
-  std::uint64_t trace_stride() const { return trace_stride_; }
 
   /// The run's metrics registry, or null when --metrics-out is off.
   obs::MetricsRegistry* registry() { return registry_.get(); }
@@ -349,7 +343,6 @@ class Observability {
   std::unique_ptr<obs::TraceSession> trace_session_;
   std::unique_ptr<obs::Profiler> profiler_;
   std::string chrome_trace_path_;
-  std::uint64_t trace_stride_ = 0;
   bool finished_ = false;
 };
 
@@ -367,8 +360,6 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
       FlagValue(argc, argv, "--threads", runtime::HardwareThreads());
   opts.metrics_out = FlagString(argc, argv, "--metrics-out");
   opts.trace_out = FlagString(argc, argv, "--trace-out");
-  opts.trace_stride = static_cast<std::uint64_t>(
-      FlagValue(argc, argv, "--trace-stride", 0));
   opts.chrome_trace = FlagString(argc, argv, "--chrome-trace");
   opts.prof = HasFlag(argc, argv, "--prof");
   opts.log_level = FlagString(argc, argv, "--log-level");
@@ -460,7 +451,7 @@ inline std::vector<runtime::TrialResult> RunBatch(
     const std::function<runtime::TrialResult(const TrialCtx&)>& fn,
     obs::Json config = obs::Json::Object()) {
   internal::Observability& ob = internal::Observability::Get();
-  obs::SpaceTracer tracer(ob.trace_stride());
+  obs::SpaceTracer tracer;
   obs::SpaceTracer* traced = ob.enabled() ? &tracer : nullptr;
   obs::TraceSession* spans = ob.trace_session();
   auto batch_span = obs::TraceSession::Begin(spans, "batch " + label, "bench");
@@ -504,7 +495,6 @@ inline std::vector<runtime::TrialResult> RunBatch(
     timeline.Set("label", obs::Json(label));
     timeline.Set("trial", obs::Json(0));
     timeline.Set("seed", obs::Json(runtime::TrialSeed(base_seed, 0)));
-    timeline.Set("pair_stride", obs::Json(tracer.pair_stride()));
     timeline.Set("max_reported_bytes", obs::Json(tracer.MaxReportedBytes()));
     timeline.Set("max_audited_bytes", obs::Json(tracer.MaxAuditedBytes()));
     timeline.Set("passes", tracer.ToJson());
@@ -527,24 +517,20 @@ inline std::vector<runtime::TrialResult> RunBatch(
     // Per-list distributions from the traced trial's timeline: each point
     // before the pass-end duplicate is one list-boundary sample, and the
     // pair-count delta between consecutive samples is that list's length.
-    // Mid-list stride samples would distort the deltas, so skip then.
-    if (tracer.pair_stride() == 0) {
-      obs::Histogram space = registry->GetHistogram(
-          "bench.list_space_bytes", obs::Log2Bounds(6, 30));
-      obs::Histogram sizes = registry->GetHistogram(
-          "bench.list_size_pairs", obs::Log2Bounds(0, 24));
-      for (const obs::SpaceTimeline& t : tracer.timelines()) {
-        std::uint64_t prev_pairs = 0;
-        // points.back() is the extra pass-end sample (same pair count as
-        // the final list boundary) — not a list.
-        const std::size_t lists =
-            t.points.empty() ? 0 : t.points.size() - 1;
-        for (std::size_t i = 0; i < lists; ++i) {
-          space.Observe(static_cast<double>(t.points[i].reported_bytes));
-          sizes.Observe(
-              static_cast<double>(t.points[i].pairs_processed - prev_pairs));
-          prev_pairs = t.points[i].pairs_processed;
-        }
+    obs::Histogram space = registry->GetHistogram("bench.list_space_bytes",
+                                                  obs::Log2Bounds(6, 30));
+    obs::Histogram sizes = registry->GetHistogram("bench.list_size_pairs",
+                                                  obs::Log2Bounds(0, 24));
+    for (const obs::SpaceTimeline& t : tracer.timelines()) {
+      std::uint64_t prev_pairs = 0;
+      // points.back() is the extra pass-end sample (same pair count as
+      // the final list boundary) — not a list.
+      const std::size_t lists = t.points.empty() ? 0 : t.points.size() - 1;
+      for (std::size_t i = 0; i < lists; ++i) {
+        space.Observe(static_cast<double>(t.points[i].reported_bytes));
+        sizes.Observe(
+            static_cast<double>(t.points[i].pairs_processed - prev_pairs));
+        prev_pairs = t.points[i].pairs_processed;
       }
     }
   }

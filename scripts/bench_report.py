@@ -66,8 +66,8 @@ PROF_COUNTER_FIELDS = ("cycles", "instructions", "cache_references",
 REQUIRED_FIELDS = {
     "run": ["bench", "git", "build_info"],
     "batch": ["label", "trials", "base_seed", "results"],
-    "timeline": ["label", "trial", "seed", "pair_stride",
-                 "max_reported_bytes", "max_audited_bytes", "passes"],
+    "timeline": ["label", "trial", "seed", "max_reported_bytes",
+                 "max_audited_bytes", "passes"],
     "curve_point": ["curve", "x", "y"],
     "slope": ["curve", "measured", "predicted", "consistent"],
     "fit": ["curve", "fitted_exponent", "predicted_exponent", "points"],

@@ -12,72 +12,26 @@ namespace core {
 
 ParallelCopies::ParallelCopies(
     std::vector<std::unique_ptr<stream::StreamAlgorithm>> copies)
-    : copies_(std::move(copies)) {
-  CYCLESTREAM_CHECK(!copies_.empty());
-  for (const auto& copy : copies_) {
-    CYCLESTREAM_CHECK_EQ(copy->passes(), copies_.front()->passes());
+    : CopyOwner{std::move(copies)}, CopySpan(owned_.data(), owned_.size()) {
+  CYCLESTREAM_CHECK(!owned_.empty());
+  for (const auto& copy : owned_) {
+    CYCLESTREAM_CHECK_EQ(copy->passes(), owned_.front()->passes());
   }
-}
-
-int ParallelCopies::passes() const { return copies_.front()->passes(); }
-
-bool ParallelCopies::requires_same_order() const {
-  for (const auto& copy : copies_) {
-    if (copy->requires_same_order()) return true;
-  }
-  return false;
-}
-
-bool ParallelCopies::AcceptsModel(stream::StreamModel model) const {
-  for (const auto& copy : copies_) {
-    if (!copy->AcceptsModel(model)) return false;
-  }
-  return true;
-}
-
-void ParallelCopies::BeginPass(int pass) {
-  for (auto& copy : copies_) copy->BeginPass(pass);
-}
-
-void ParallelCopies::BeginList(VertexId u) {
-  for (auto& copy : copies_) copy->BeginList(u);
-}
-
-void ParallelCopies::OnPair(VertexId u, VertexId v) {
-  for (auto& copy : copies_) copy->OnPair(u, v);
-}
-
-void ParallelCopies::OnListBatch(VertexId u, std::span<const VertexId> list) {
-  for (auto& copy : copies_) copy->OnListBatch(u, list);
-}
-
-void ParallelCopies::EndList(VertexId u) {
-  for (auto& copy : copies_) copy->EndList(u);
-}
-
-void ParallelCopies::EndPass(int pass) {
-  for (auto& copy : copies_) copy->EndPass(pass);
-}
-
-std::size_t ParallelCopies::CurrentSpaceBytes() const {
-  std::size_t total = 0;
-  for (const auto& copy : copies_) total += copy->CurrentSpaceBytes();
-  return total;
 }
 
 void ParallelCopies::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(copies_.size());
-  for (const auto& copy : copies_) copy->Serialize(w);
+  w.WriteU64(owned_.size());
+  for (const auto& copy : owned_) copy->Serialize(w);
 }
 
 Status ParallelCopies::Restore(snapshot::SnapshotReader& r) {
   const std::uint64_t count = r.ReadU64();
   if (!r.status().ok()) return r.status();
-  if (count != copies_.size()) {
+  if (count != owned_.size()) {
     return Status::FailedPrecondition(
         "parallel-copies snapshot copy count mismatch");
   }
-  for (auto& copy : copies_) {
+  for (auto& copy : owned_) {
     Status status = copy->Restore(r);
     if (!status.ok()) return status;
   }

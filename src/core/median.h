@@ -30,7 +30,8 @@ namespace core {
 namespace internal {
 
 // Non-owning view over a contiguous range of copies, driven as one
-// StreamAlgorithm by a single worker.
+// StreamAlgorithm: ParallelCopies is the view over all of its copies, and
+// its pooled Run drives one view per worker chunk.
 class CopySpan : public stream::StreamAlgorithm {
  public:
   CopySpan(std::unique_ptr<stream::StreamAlgorithm>* copies, std::size_t n)
@@ -43,6 +44,8 @@ class CopySpan : public stream::StreamAlgorithm {
     }
     return false;
   }
+  /// The group accepts a model iff every copy does — amplification never
+  /// weakens a copy's model requirement.
   bool AcceptsModel(stream::StreamModel model) const override {
     for (std::size_t i = 0; i < n_; ++i) {
       if (!copies_[i]->AcceptsModel(model)) return false;
@@ -58,6 +61,8 @@ class CopySpan : public stream::StreamAlgorithm {
   void OnPair(VertexId u, VertexId v) override {
     for (std::size_t i = 0; i < n_; ++i) copies_[i]->OnPair(u, v);
   }
+  /// Forwards the batch to each copy's OnListBatch, so copies with real
+  /// batch implementations keep their fast path under amplification.
   void OnListBatch(VertexId u, std::span<const VertexId> list) override {
     for (std::size_t i = 0; i < n_; ++i) copies_[i]->OnListBatch(u, list);
   }
@@ -80,33 +85,23 @@ class CopySpan : public stream::StreamAlgorithm {
   std::size_t n_;
 };
 
+// Holds ParallelCopies' copies; a base ahead of CopySpan so the vector
+// exists before the view over it is built.
+struct CopyOwner {
+  std::vector<std::unique_ptr<stream::StreamAlgorithm>> owned_;
+};
+
 }  // namespace internal
 
-/// Runs R copies of an algorithm as one StreamAlgorithm. All copies must
-/// take the same number of passes.
-class ParallelCopies : public stream::StreamAlgorithm {
+/// Runs R copies of an algorithm as one StreamAlgorithm (a CopySpan over
+/// all of them). All copies must take the same number of passes.
+class ParallelCopies : private internal::CopyOwner, public internal::CopySpan {
  public:
   explicit ParallelCopies(
       std::vector<std::unique_ptr<stream::StreamAlgorithm>> copies);
 
-  int passes() const override;
-  bool requires_same_order() const override;
-  /// The group accepts a model iff every copy does — amplification never
-  /// weakens a copy's model requirement.
-  bool AcceptsModel(stream::StreamModel model) const override;
-
-  void BeginPass(int pass) override;
-  void BeginList(VertexId u) override;
-  void OnPair(VertexId u, VertexId v) override;
-  /// Forwards the batch to each copy's OnListBatch, so copies with real
-  /// batch implementations keep their fast path under amplification.
-  void OnListBatch(VertexId u, std::span<const VertexId> list) override;
-  void EndList(VertexId u) override;
-  void EndPass(int pass) override;
-  std::size_t CurrentSpaceBytes() const override;
-
-  std::size_t num_copies() const { return copies_.size(); }
-  stream::StreamAlgorithm* copy(std::size_t i) { return copies_[i].get(); }
+  std::size_t num_copies() const { return owned_.size(); }
+  stream::StreamAlgorithm* copy(std::size_t i) { return owned_[i].get(); }
 
   /// Snapshot contract: copies serialize in index order; restore requires
   /// the same copy count (and each copy's own options to match).
@@ -129,21 +124,21 @@ class ParallelCopies : public stream::StreamAlgorithm {
   template <typename StreamT>
   stream::RunReport Run(const StreamT& stream,
                         runtime::ThreadPool* pool = nullptr) {
-    if (pool == nullptr || pool->num_threads() <= 1 || copies_.size() <= 1) {
+    if (pool == nullptr || pool->num_threads() <= 1 || owned_.size() <= 1) {
       return stream::RunPasses(stream, this);
     }
     const std::size_t chunks = std::min<std::size_t>(
-        static_cast<std::size_t>(pool->num_threads()), copies_.size());
+        static_cast<std::size_t>(pool->num_threads()), owned_.size());
     std::vector<stream::RunReport> chunk_reports(chunks);
     std::vector<std::future<void>> pending;
     pending.reserve(chunks);
     std::size_t begin = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       // Even partition: remaining copies split over remaining chunks.
-      const std::size_t end = begin + (copies_.size() - begin) / (chunks - c);
+      const std::size_t end = begin + (owned_.size() - begin) / (chunks - c);
       pending.push_back(pool->Submit([this, &stream, &chunk_reports, c, begin,
                                       end] {
-        internal::CopySpan span(&copies_[begin], end - begin);
+        internal::CopySpan span(&owned_[begin], end - begin);
         chunk_reports[c] = stream::RunPasses(stream, &span);
       }));
       begin = end;
@@ -165,9 +160,6 @@ class ParallelCopies : public stream::StreamAlgorithm {
     }
     return merged;
   }
-
- private:
-  std::vector<std::unique_ptr<stream::StreamAlgorithm>> copies_;
 };
 
 /// Median of a vector (by value; averages the middle pair for even sizes).

@@ -9,13 +9,13 @@
 // boundaries; total communication = Σ message sizes, and the protocol output
 // is derived from the final estimate (> promised/2 → "1").
 //
-// Delivery goes through the driver's shared `internal::MeteredSink`, not a
-// hand-rolled OnPair loop, so protocol runs get the same metering, the same
-// batch fast path (one devirtualized OnListBatch per list when given a
-// concrete algorithm), and the same optional TraceOptions instrumentation as
-// `stream::RunPasses`. The message points and the space-sampling schedule
-// are unchanged: space is sampled at list boundaries only, with no extra
-// sample after EndPass (messages between passes are read directly).
+// Delivery goes through a `stream::StreamSession`, the pass/list state
+// machine the driver and the service run on, so protocol runs get the same
+// metering, the same batch fast path (one devirtualized OnListBatch per
+// list when given a concrete algorithm), and the same optional TraceOptions
+// instrumentation as `stream::RunPasses`. One difference is the protocol's
+// own: space is sampled at list boundaries only, with no extra sample after
+// EndPass (messages between passes are read directly).
 
 #ifndef CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
 #define CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
@@ -31,6 +31,7 @@
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
 #include "stream/driver.h"
+#include "stream/session.h"
 #include "util/check.h"
 #include "util/status.h"
 
@@ -62,12 +63,32 @@ stream::AdjacencyListStream MakeProtocolStream(const Gadget& gadget,
 
 namespace internal {
 
-// Tallies max/total over the recorded boundary messages.
-inline void FinishProtocolRun(ProtocolRun* run) {
+// Copies the session's peaks and tallies max/total over the recorded
+// boundary messages.
+inline void FinishProtocolRun(const stream::RunReport& report,
+                              ProtocolRun* run) {
+  run->reported_peak_bytes = report.reported_peak_bytes;
+  run->audited_peak_bytes = report.audited_peak_bytes;
+  run->max_divergence_bytes = report.max_divergence_bytes;
   for (std::size_t bytes : run->message_bytes) {
     run->max_message_bytes = std::max(run->max_message_bytes, bytes);
     run->total_message_bytes += bytes;
   }
+}
+
+// Contiguous per-player segments [begin, end) of the list order.
+inline std::vector<std::pair<std::size_t, std::size_t>> PlayerSegments(
+    const Gadget& gadget, const std::vector<VertexId>& order) {
+  std::vector<std::pair<std::size_t, std::size_t>> segments;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= order.size(); ++i) {
+    if (i == order.size() ||
+        gadget.player_of[order[i]] != gadget.player_of[order[begin]]) {
+      segments.push_back({begin, i});
+      begin = i;
+    }
+  }
+  return segments;
 }
 
 }  // namespace internal
@@ -83,44 +104,35 @@ template <typename AlgoT>
 ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
                         std::uint64_t seed,
                         const stream::TraceOptions& trace = {}) {
-  static_assert(std::is_base_of_v<stream::StreamAlgorithm, AlgoT>);
   CYCLESTREAM_CHECK(algorithm != nullptr);
   stream::AdjacencyListStream protocol_stream =
       MakeProtocolStream(gadget, seed);
   const std::vector<VertexId>& order = protocol_stream.list_order();
 
   ProtocolRun run;
-  stream::RunReport report;
-  report.passes_requested = algorithm->passes();
-  stream::internal::MeteredSink<AlgoT> sink(algorithm, &report, trace);
-  for (int pass = 0; pass < report.passes_requested; ++pass) {
-    sink.BeginPass(pass);
-    algorithm->BeginPass(pass);
-    int current_player =
-        order.empty() ? kAlice : gadget.player_of[order.front()];
-    for (VertexId u : order) {
-      if (gadget.player_of[u] != current_player) {
+  const auto segments = internal::PlayerSegments(gadget, order);
+  stream::StreamSession<AlgoT> session(algorithm, trace);
+  while (!session.finished()) {
+    session.BeginPass();
+    for (const auto& [begin, end] : segments) {
+      if (begin != 0) {
         // Player boundary: the algorithm state is the message.
         run.message_bytes.push_back(algorithm->CurrentSpaceBytes());
-        current_player = gadget.player_of[u];
       }
-      sink.BeginList(u);
-      sink.OnList(u, protocol_stream.ListOf(u));
-      sink.EndList(u);  // samples space, exactly as the old per-list max
+      for (std::size_t i = begin; i < end; ++i) {
+        session.ConsumeList(order[i], protocol_stream.ListOf(order[i]));
+      }
     }
-    algorithm->EndPass(pass);
-    // No sink.EndPass(): the protocol's peak is defined over list
+    // No pass-end sample: the protocol's peak is defined over list
     // boundaries only; pass-end state is measured by the message below.
-    if (pass + 1 < report.passes_requested) {
+    session.EndPass(/*sample_space=*/false);
+    if (!session.finished()) {
       // Multi-pass: the last player sends the state back to the first.
       run.message_bytes.push_back(algorithm->CurrentSpaceBytes());
     }
   }
-  run.reported_peak_bytes = report.reported_peak_bytes;
-  run.audited_peak_bytes = report.audited_peak_bytes;
-  run.max_divergence_bytes = report.max_divergence_bytes;
-  stream::internal::ExportDriverMetrics(report, trace.metrics);
-  internal::FinishProtocolRun(&run);
+  internal::FinishProtocolRun(session.report(), &run);
+  stream::internal::ExportDriverMetrics(session.report(), trace.metrics);
   return run;
 }
 
@@ -147,61 +159,37 @@ ProtocolRun RunSerializedProtocol(const Gadget& gadget, const Options& options,
   const std::vector<VertexId>& order = protocol_stream.list_order();
 
   ProtocolRun run;
-  // Contiguous per-player segments of the list order.
-  std::vector<std::pair<std::size_t, std::size_t>> segments;  // [begin, end)
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i <= order.size(); ++i) {
-    if (i == order.size() ||
-        gadget.player_of[order[i]] != gadget.player_of[order[begin]]) {
-      segments.push_back({begin, i});
-      begin = i;
-    }
-  }
+  const auto segments = internal::PlayerSegments(gadget, order);
+  CYCLESTREAM_CHECK(!segments.empty());
 
-  const int passes = Algo(options).passes();
-  // One report across all players: MeteredSink accumulates the global peak
-  // (max over every player's list-boundary samples) into it.
-  stream::RunReport report;
-  report.passes_requested = passes;
-  std::vector<std::uint8_t> wire;
-  bool first_segment = true;
-  for (int pass = 0; pass < passes; ++pass) {
+  // One session across all players: each player takes it over from the
+  // previous one, so its report peaks over every player's samples.
+  auto player = std::make_unique<Algo>(options);
+  stream::StreamSession<Algo> session(player.get());
+  while (!session.finished()) {
     for (const auto& [seg_begin, seg_end] : segments) {
-      // A brand-new player knowing only the public options and the wire.
-      auto player = std::make_unique<Algo>(options);
-      if (!first_segment) {
-        StatusOr<snapshot::SnapshotReader> reader =
-            snapshot::SnapshotReader::Open(wire);
-        CYCLESTREAM_CHECK(reader.ok());
-        CYCLESTREAM_CHECK(player->Restore(*reader).ok());
-        CYCLESTREAM_CHECK(reader->Final().ok());
-      }
-      stream::internal::MeteredSink<Algo> sink(player.get(), &report, {});
-      if (seg_begin == 0) sink.BeginPass(pass);
-      if (seg_begin == 0) player->BeginPass(pass);
+      if (seg_begin == 0) session.BeginPass();
       for (std::size_t i = seg_begin; i < seg_end; ++i) {
-        VertexId u = order[i];
-        sink.BeginList(u);
-        sink.OnList(u, protocol_stream.ListOf(u));
-        sink.EndList(u);
+        session.ConsumeList(order[i], protocol_stream.ListOf(order[i]));
       }
-      if (seg_end == order.size()) player->EndPass(pass);
-      bool last_overall = pass + 1 == passes && seg_end == order.size();
-      if (!last_overall) {
-        snapshot::SnapshotWriter writer;
-        player->Serialize(writer);
-        wire = std::move(writer).Finish();
-        run.message_bytes.push_back(wire.size());
-      } else {
-        *final_player = std::move(player);
-      }
-      first_segment = false;
+      if (seg_end == order.size()) session.EndPass(/*sample_space=*/false);
+      if (session.finished()) break;
+      snapshot::SnapshotWriter writer;
+      player->Serialize(writer);
+      const std::vector<std::uint8_t> wire = std::move(writer).Finish();
+      run.message_bytes.push_back(wire.size());
+      // A brand-new player knowing only the public options and the wire.
+      player = std::make_unique<Algo>(options);
+      StatusOr<snapshot::SnapshotReader> reader =
+          snapshot::SnapshotReader::Open(wire);
+      CYCLESTREAM_CHECK(reader.ok());
+      CYCLESTREAM_CHECK(player->Restore(*reader).ok());
+      CYCLESTREAM_CHECK(reader->Final().ok());
+      session.Rebind(player.get());
     }
   }
-  run.reported_peak_bytes = report.reported_peak_bytes;
-  run.audited_peak_bytes = report.audited_peak_bytes;
-  run.max_divergence_bytes = report.max_divergence_bytes;
-  internal::FinishProtocolRun(&run);
+  *final_player = std::move(player);
+  internal::FinishProtocolRun(session.report(), &run);
   return run;
 }
 

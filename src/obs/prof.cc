@@ -22,7 +22,8 @@ namespace obs {
 
 namespace {
 
-// ProfCounters slot indices, shared by the perf open order and Read().
+// ProfCounters slot indices (kProfFields order), shared by the perf open
+// order and Read().
 enum CounterSlot {
   kSlotCycles = 0,
   kSlotInstructions = 1,
@@ -63,23 +64,15 @@ const char* ProfBackendName(ProfBackend backend) {
 }
 
 void ProfCounters::Add(const ProfCounters& other) {
-  cycles += other.cycles;
-  instructions += other.instructions;
-  cache_references += other.cache_references;
-  cache_misses += other.cache_misses;
-  branch_misses += other.branch_misses;
-  task_clock_ns += other.task_clock_ns;
+  for (const auto& [name, field] : kProfFields) this->*field += other.*field;
 }
 
 ProfCounters ProfCounters::Minus(const ProfCounters& other) const {
   auto sub = [](std::uint64_t a, std::uint64_t b) { return a > b ? a - b : 0; };
   ProfCounters out;
-  out.cycles = sub(cycles, other.cycles);
-  out.instructions = sub(instructions, other.instructions);
-  out.cache_references = sub(cache_references, other.cache_references);
-  out.cache_misses = sub(cache_misses, other.cache_misses);
-  out.branch_misses = sub(branch_misses, other.branch_misses);
-  out.task_clock_ns = sub(task_clock_ns, other.task_clock_ns);
+  for (const auto& [name, field] : kProfFields) {
+    out.*field = sub(this->*field, other.*field);
+  }
   return out;
 }
 
@@ -89,18 +82,17 @@ double ProfCounters::Ipc() const {
 }
 
 bool ProfCounters::IsZero() const {
-  return cycles == 0 && instructions == 0 && cache_references == 0 &&
-         cache_misses == 0 && branch_misses == 0 && task_clock_ns == 0;
+  for (const auto& [name, field] : kProfFields) {
+    if (this->*field != 0) return false;
+  }
+  return true;
 }
 
 Json ProfCounters::ToJson() const {
   Json out = Json::Object();
-  out.Set("cycles", Json(static_cast<double>(cycles)));
-  out.Set("instructions", Json(static_cast<double>(instructions)));
-  out.Set("cache_references", Json(static_cast<double>(cache_references)));
-  out.Set("cache_misses", Json(static_cast<double>(cache_misses)));
-  out.Set("branch_misses", Json(static_cast<double>(branch_misses)));
-  out.Set("task_clock_ns", Json(static_cast<double>(task_clock_ns)));
+  for (const auto& [name, field] : kProfFields) {
+    out.Set(name, Json(static_cast<double>(this->*field)));
+  }
   return out;
 }
 
@@ -194,13 +186,9 @@ ProfCounters CounterSet::Read() const {
       const ssize_t n = read(fds_.front(), buf, sizeof(buf));
       if (n < static_cast<ssize_t>(sizeof(std::uint64_t))) break;
       const std::uint64_t nr = buf[0];
-      std::uint64_t* values = &buf[1];
-      std::uint64_t* slots[kNumSlots] = {
-          &out.cycles,           &out.instructions, &out.cache_references,
-          &out.cache_misses,     &out.branch_misses, &out.task_clock_ns,
-      };
+      // Slot indices follow kProfFields' order.
       for (std::size_t i = 0; i < slots_.size() && i < nr; ++i) {
-        *slots[slots_[i]] = values[i];
+        out.*kProfFields[slots_[i]].second = buf[1 + i];
       }
 #endif
       break;
@@ -281,16 +269,11 @@ void Profiler::ExportMetrics(MetricsRegistry* registry) const {
     const std::string suffix = "/scope=" + safe;
     registry->GetGauge("prof.scopes" + suffix)
         .Set(static_cast<double>(agg.count));
-    registry->GetGauge("prof.cycles" + suffix)
-        .Set(static_cast<double>(agg.totals.cycles));
-    registry->GetGauge("prof.instructions" + suffix)
-        .Set(static_cast<double>(agg.totals.instructions));
-    registry->GetGauge("prof.cache_references" + suffix)
-        .Set(static_cast<double>(agg.totals.cache_references));
-    registry->GetGauge("prof.cache_misses" + suffix)
-        .Set(static_cast<double>(agg.totals.cache_misses));
-    registry->GetGauge("prof.branch_misses" + suffix)
-        .Set(static_cast<double>(agg.totals.branch_misses));
+    for (const auto& [name, field] : kProfFields) {
+      if (field == &ProfCounters::task_clock_ns) continue;  // as seconds
+      registry->GetGauge(std::string("prof.") + name + suffix)
+          .Set(static_cast<double>(agg.totals.*field));
+    }
     registry->GetGauge("prof.task_clock_seconds" + suffix)
         .Set(static_cast<double>(agg.totals.task_clock_ns) * 1e-9);
   }

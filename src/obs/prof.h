@@ -83,6 +83,18 @@ struct ProfCounters {
   Json ToJson() const;
 };
 
+/// Every ProfCounters field with its stable name (the manifest `prof`
+/// record's key), in declaration order.
+inline constexpr std::pair<const char*, std::uint64_t ProfCounters::*>
+    kProfFields[] = {
+        {"cycles", &ProfCounters::cycles},
+        {"instructions", &ProfCounters::instructions},
+        {"cache_references", &ProfCounters::cache_references},
+        {"cache_misses", &ProfCounters::cache_misses},
+        {"branch_misses", &ProfCounters::branch_misses},
+        {"task_clock_ns", &ProfCounters::task_clock_ns},
+};
+
 /// A thread-affine counter group. Counts the constructing thread from
 /// construction until destruction; Read() is cumulative and monotone.
 /// Construction never fails — it resolves the best available backend

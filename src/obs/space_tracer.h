@@ -3,17 +3,18 @@
 // `CurrentSpaceBytes()` and, when the algorithm exposes a memory domain,
 // the allocator-measured live bytes.
 //
-// The stream driver (see `stream/driver.h`) owns the sampling points: it
-// calls `Sample()` at every adjacency-list boundary (the model's natural
-// measurement granularity), optionally mid-list every `pair_stride` pairs
-// for long lists, and once more at each pass end so the timeline maximum
-// equals `RunReport::reported_peak_bytes` exactly. The tracer itself is a
+// The stream session (see `stream/session.h`) owns the sampling points: it
+// calls `Sample()` at every adjacency-list boundary (the model's
+// measurement granularity) and once more at each pass end — exactly the
+// samples the report's peaks come from, so the timeline maximum equals
+// `RunReport::reported_peak_bytes`. The tracer itself is a
 // passive container — single-writer, no locking — so only one trial per
 // run should carry one (bench_util traces trial 0).
 
 #ifndef CYCLESTREAM_OBS_SPACE_TRACER_H_
 #define CYCLESTREAM_OBS_SPACE_TRACER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -38,32 +39,20 @@ struct SpaceTimeline {
   std::vector<SpacePoint> points;
 
   std::uint64_t MaxReportedBytes() const {
-    std::uint64_t max = 0;
-    for (const SpacePoint& p : points) {
-      if (p.reported_bytes > max) max = p.reported_bytes;
-    }
-    return max;
+    return Max(&SpacePoint::reported_bytes);
   }
 
-  std::uint64_t MaxAuditedBytes() const {
+  /// Largest value of one SpacePoint field over the pass (0 when empty).
+  std::uint64_t Max(std::uint64_t SpacePoint::*field) const {
     std::uint64_t max = 0;
-    for (const SpacePoint& p : points) {
-      if (p.audited_bytes > max) max = p.audited_bytes;
-    }
+    for (const SpacePoint& p : points) max = std::max(max, p.*field);
     return max;
   }
 };
 
 class SpaceTracer {
  public:
-  /// `pair_stride` > 0 additionally samples mid-list every that many pairs;
-  /// 0 (default) samples only at list boundaries and pass ends.
-  explicit SpaceTracer(std::uint64_t pair_stride = 0)
-      : pair_stride_(pair_stride) {}
-
-  std::uint64_t pair_stride() const { return pair_stride_; }
-
-  /// Driver hooks -----------------------------------------------------
+  /// Session hooks -----------------------------------------------------
 
   void BeginPass(std::size_t pass) {
     timelines_.push_back(SpaceTimeline{pass, {}});
@@ -73,7 +62,7 @@ class SpaceTracer {
   /// current pass.
   void Sample(std::uint64_t pairs_processed, std::uint64_t reported_bytes,
               std::uint64_t audited_bytes = 0) {
-    if (timelines_.empty()) return;  // driver always BeginPass()es first
+    if (timelines_.empty()) return;  // sessions always BeginPass() first
     timelines_.back().points.push_back(
         SpacePoint{pairs_processed, reported_bytes, audited_bytes});
   }
@@ -86,23 +75,13 @@ class SpaceTracer {
   /// RunReport::reported_peak_bytes for the run the driver traced
   /// (tested in obs_test).
   std::uint64_t MaxReportedBytes() const {
-    std::uint64_t max = 0;
-    for (const SpaceTimeline& t : timelines_) {
-      const std::uint64_t pass_max = t.MaxReportedBytes();
-      if (pass_max > max) max = pass_max;
-    }
-    return max;
+    return Max(&SpacePoint::reported_bytes);
   }
 
   /// Max allocator-audited live bytes over every pass (0 for unaudited
   /// algorithms); equals RunReport::audited_peak_bytes when traced.
   std::uint64_t MaxAuditedBytes() const {
-    std::uint64_t max = 0;
-    for (const SpaceTimeline& t : timelines_) {
-      const std::uint64_t pass_max = t.MaxAuditedBytes();
-      if (pass_max > max) max = pass_max;
-    }
-    return max;
+    return Max(&SpacePoint::audited_bytes);
   }
 
   /// [{"pass":0,"points":[[pairs,reported,audited],...]},...] — points as
@@ -127,7 +106,12 @@ class SpaceTracer {
   }
 
  private:
-  std::uint64_t pair_stride_;
+  std::uint64_t Max(std::uint64_t SpacePoint::*field) const {
+    std::uint64_t max = 0;
+    for (const SpaceTimeline& t : timelines_) max = std::max(max, t.Max(field));
+    return max;
+  }
+
   std::vector<SpaceTimeline> timelines_;
 };
 

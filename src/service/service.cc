@@ -72,16 +72,16 @@ struct EstimatorService::Op {
   std::unique_ptr<std::promise<void>> barrier_promise;
 };
 
-// Complete state of one hosted stream. Mirrors what the single-stream
-// driver tracks per run (MeteredSink + RunReport), so the service's view is
-// bit-identical to a sequential driver run of the same event sequence.
+// Complete state of one hosted stream: the estimator and the session the
+// driver would run it in.
 struct EstimatorService::StreamState {
+  StreamState(const EstimatorSpec& s, HostedEstimator h)
+      : spec(s), hosted(std::move(h)), session(hosted.algo.get()) {}
+
   EstimatorSpec spec;
   HostedEstimator hosted;
-  int pass = 0;
-  bool finished = false;
   Status error;  // latched by misuse; OK in the normal lifecycle
-  stream::RunReport report;
+  stream::StreamSession<> session;
 };
 
 struct EstimatorService::Shard {
@@ -332,27 +332,6 @@ void EstimatorService::Process(Shard& shard, Op& op) {
   }
 }
 
-// Mirrors internal::MeteredSink::SampleSpace exactly — the service's
-// reports must be bit-identical to the driver's.
-void EstimatorService::SampleSpace(StreamState& state) {
-  const std::size_t reported = state.hosted.algo->CurrentSpaceBytes();
-  stream::PassReport& pass = state.report.per_pass.back();
-  pass.reported_peak_bytes = std::max(pass.reported_peak_bytes, reported);
-  state.report.reported_peak_bytes =
-      std::max(state.report.reported_peak_bytes, reported);
-  const obs::MemoryDomain* domain = state.hosted.algo->memory_domain();
-  if (domain != nullptr) {
-    const std::size_t audited = domain->live_bytes();
-    pass.audited_peak_bytes = std::max(pass.audited_peak_bytes, audited);
-    state.report.audited_peak_bytes =
-        std::max(state.report.audited_peak_bytes, audited);
-    const std::size_t divergence =
-        audited > reported ? audited - reported : reported - audited;
-    state.report.max_divergence_bytes =
-        std::max(state.report.max_divergence_bytes, divergence);
-  }
-}
-
 void EstimatorService::OnErrorLatched(Shard& shard, StreamId id,
                                       const Status& error) {
   if (metrics_ != nullptr) shard.errors.Increment();
@@ -384,14 +363,8 @@ void EstimatorService::DoCreate(Shard& shard, Op& op) {
     op.status_promise->set_value(hosted.status());
     return;
   }
-  StreamState state;
-  state.spec = op.spec;
-  state.hosted = std::move(hosted).value();
-  state.report.passes_requested = state.hosted.algo->passes();
-  CYCLESTREAM_CHECK_GE(state.report.passes_requested, 1);
-  state.report.per_pass.emplace_back();
-  state.hosted.algo->BeginPass(0);
-  shard.streams.emplace(op.id, std::move(state));
+  shard.streams.emplace(op.id, StreamState(op.spec, std::move(hosted).value()))
+      .first->second.session.BeginPass();
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kCreate,
                     static_cast<std::uint32_t>(shard.index), op.id);
@@ -406,28 +379,29 @@ void EstimatorService::DoCreate(Shard& shard, Op& op) {
   op.status_promise->set_value(Status::Ok());
 }
 
-void EstimatorService::DoList(Shard& shard, Op& op) {
+EstimatorService::StreamState* EstimatorService::LiveStream(
+    Shard& shard, const Op& op, const char* action) {
   auto it = shard.streams.find(op.id);
   if (it == shard.streams.end()) {
     if (metrics_ != nullptr) shard.dropped.Increment();
-    return;
+    return nullptr;
   }
   StreamState& state = it->second;
-  if (!state.error.ok()) return;  // already latched; drop silently
-  if (state.finished) {
+  if (!state.error.ok()) return nullptr;  // already latched; drop silently
+  if (state.session.finished()) {
     state.error = Status::FailedPrecondition(
-        "append to stream " + std::to_string(op.id) +
+        std::string(action) + " stream " + std::to_string(op.id) +
         " after its final pass ended");
     OnErrorLatched(shard, op.id, state.error);
-    return;
+    return nullptr;
   }
-  stream::StreamAlgorithm* algo = state.hosted.algo.get();
-  algo->BeginList(op.u);
-  algo->OnListBatch(op.u, std::span<const VertexId>(op.list));
-  state.report.pairs_processed += op.list.size();
-  state.report.per_pass.back().pairs_processed += op.list.size();
-  algo->EndList(op.u);
-  SampleSpace(state);
+  return &state;
+}
+
+void EstimatorService::DoList(Shard& shard, Op& op) {
+  StreamState* state = LiveStream(shard, op, "append to");
+  if (state == nullptr) return;
+  state->session.ConsumeList(op.u, op.list);
   if (metrics_ != nullptr) {
     shard.lists.Increment();
     shard.pairs.Increment(op.list.size());
@@ -440,34 +414,15 @@ void EstimatorService::DoList(Shard& shard, Op& op) {
 }
 
 void EstimatorService::DoEndPass(Shard& shard, Op& op) {
-  auto it = shard.streams.find(op.id);
-  if (it == shard.streams.end()) {
-    if (metrics_ != nullptr) shard.dropped.Increment();
-    return;
-  }
-  StreamState& state = it->second;
-  if (!state.error.ok()) return;
-  if (state.finished) {
-    state.error = Status::FailedPrecondition(
-        "pass boundary on stream " + std::to_string(op.id) +
-        " after its final pass ended");
-    OnErrorLatched(shard, op.id, state.error);
-    return;
-  }
-  state.hosted.algo->EndPass(state.pass);
-  SampleSpace(state);
-  ++state.pass;
+  StreamState* state = LiveStream(shard, op, "pass boundary on");
+  if (state == nullptr) return;
+  state->session.EndPass();
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kEndPass,
                     static_cast<std::uint32_t>(shard.index), op.id,
-                    static_cast<std::uint64_t>(state.pass));
+                    static_cast<std::uint64_t>(state->session.pass()));
   }
-  if (state.pass < state.report.passes_requested) {
-    state.report.per_pass.emplace_back();
-    state.hosted.algo->BeginPass(state.pass);
-  } else {
-    state.finished = true;
-  }
+  if (!state->session.finished()) state->session.BeginPass();
 }
 
 void EstimatorService::DoQuery(Shard& shard, Op& op) {
@@ -495,10 +450,10 @@ void EstimatorService::DoQuery(Shard& shard, Op& op) {
   StreamView view;
   view.spec = state.spec;
   view.estimate = state.hosted.estimate(*state.hosted.algo);
-  view.pass = state.pass;
-  view.passes_requested = state.report.passes_requested;
-  view.finished = state.finished;
-  view.report = state.report;
+  view.pass = state.session.pass();
+  view.passes_requested = state.session.report().passes_requested;
+  view.finished = state.session.finished();
+  view.report = state.session.report();
   op.view_promise->set_value(std::move(view));
 }
 
@@ -510,14 +465,14 @@ void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
     outer.WriteU64(id);
     snapshot::SnapshotWriter inner;
     SerializeSpec(state.spec, inner);
-    inner.WriteU64(static_cast<std::uint64_t>(state.pass));
-    inner.WriteBool(state.finished);
+    inner.WriteU64(static_cast<std::uint64_t>(state.session.pass()));
+    inner.WriteBool(state.session.finished());
     inner.WriteBool(!state.error.ok());
     if (!state.error.ok()) {
       inner.WriteU32(static_cast<std::uint32_t>(state.error.code()));
       inner.WriteString(state.error.message());
     }
-    stream::internal::SerializeReport(state.report, inner);
+    state.session.Serialize(inner);
     if (state.error.ok()) state.hosted.algo->Serialize(inner);
     const std::vector<std::uint8_t> bytes = std::move(inner).Finish();
     outer.WriteBytes(std::span<const std::uint8_t>(bytes));
@@ -600,11 +555,9 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
     if (!hosted.ok()) {
       return hosted.status();
     }
-    StreamState state;
-    state.spec = *spec;
-    state.hosted = std::move(hosted).value();
-    state.pass = static_cast<int>(inner->ReadU64());
-    state.finished = inner->ReadBool();
+    StreamState state(*spec, std::move(hosted).value());
+    const std::uint64_t pass = inner->ReadU64();
+    const bool finished = inner->ReadBool();
     const bool has_error = inner->ReadBool();
     if (has_error) {
       const StatusCode code = static_cast<StatusCode>(inner->ReadU32());
@@ -613,27 +566,8 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
         state.error = Status(code, std::move(message));
       }
     }
-    stream::internal::RestoreReport(*inner, &state.report);
-    if (!inner->status().ok()) {
-      return inner->status();
-    }
-    // Pass bookkeeping must be self-consistent before the estimator's own
-    // payload is trusted (mirrors ResumePassesChecked's shape check).
-    const int passes = state.report.passes_requested;
-    const bool shape_ok =
-        passes == state.hosted.algo->passes() && state.pass >= 0 &&
-        (state.finished
-             ? (state.pass == passes &&
-                state.report.per_pass.size() ==
-                    static_cast<std::size_t>(passes))
-             : (state.pass < passes &&
-                state.report.per_pass.size() ==
-                    static_cast<std::size_t>(state.pass) + 1));
-    if (!shape_ok) {
-      return Status::FailedPrecondition(
-          "checkpoint pass bookkeeping does not match estimator for stream " +
-          std::to_string(id));
-    }
+    Status report_status = state.session.Restore(*inner, pass, finished);
+    if (!report_status.ok()) return report_status;
     if (state.error.ok()) {
       Status algo_status = state.hosted.algo->Restore(*inner);
       if (!algo_status.ok()) {

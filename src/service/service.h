@@ -12,12 +12,13 @@
 // asynchronously via `Query` futures.
 //
 // Determinism contract: a stream's events are processed in submission
-// order, by exactly one shard, with the same callback sequence and space
-// sampling as the single-stream driver (`stream::RunPasses`'s MeteredSink:
-// BeginList / OnListBatch / EndList / sample at every list boundary and
-// after every EndPass). Estimates, RunReports, and checkpoint bytes are
-// therefore bit-identical to running each stream through the driver
-// sequentially — for ANY (streams, shards, threads) configuration.
+// order, by exactly one shard, through the same `stream::StreamSession` the
+// single-stream driver runs (stream/session.h): Append is one whole-list
+// BeginList / OnListBatch / EndList, EndPass ends the session's pass and
+// begins the next. The session owns the pass cursor, the space sampling
+// and the RunReport, so estimates, RunReports, and checkpoint bytes are
+// bit-identical to running each stream through the driver sequentially —
+// for ANY (streams, shards, threads) configuration, by construction.
 // Cross-stream interleaving affects scheduling only, never state: no two
 // streams share mutable state, and no shard state is touched off its drain
 // task.
@@ -26,7 +27,10 @@
 // snapshot envelope — a manifest mapping stream id → nested per-stream
 // envelope (spec, pass cursor, RunReport, estimator state), each with its
 // own CRC (src/snapshot). `KillShard` simulates a crash (all shard state
-// dropped); `RestoreShard` rebuilds the shard from manifest bytes alone.
+// dropped); `RestoreShard` rebuilds the shard from manifest bytes alone,
+// decoding each report and checking its pass bookkeeping with the
+// session's decoder — the one `stream::ResumePassesChecked` uses — before
+// any estimator state is trusted.
 // Because control operations ride the same mailbox as data, a checkpoint
 // or kill lands at a deterministic batch boundary, and a killed shard
 // restored from its last checkpoint and re-fed the post-checkpoint batches
@@ -82,7 +86,7 @@
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "service/estimator_host.h"
-#include "stream/driver.h"
+#include "stream/session.h"
 #include "util/status.h"
 
 namespace cyclestream {
@@ -223,7 +227,11 @@ class EstimatorService {
   void Enqueue(Shard& shard, Op op);
   void Drain(std::size_t shard_index);
   void Process(Shard& shard, Op& op);
-  void SampleSpace(StreamState& state);
+
+  /// The stream a data op (Append / EndPass) feeds, or null when the op is
+  /// dropped: unknown ids are counted, latched streams ignore it, and a
+  /// finished stream latches a typed error ("<action> stream N after ...").
+  StreamState* LiveStream(Shard& shard, const Op& op, const char* action);
 
   // Op handlers (consumer side, single-threaded per shard).
   void DoCreate(Shard& shard, Op& op);

@@ -1,6 +1,7 @@
 // Multi-pass driver: runs a StreamAlgorithm over a stream of any model
-// (adjacency-list, arbitrary, random-order, ε-perturbed) and measures its
-// peak working space.
+// (adjacency-list, arbitrary, random-order, ε-perturbed) through a
+// `StreamSession` (stream/session.h), which owns the pass cursor, the
+// RunReport and the space sampler.
 //
 // Model awareness: every stream declares a `ModelDescriptor`
 // (stream/model.h; plain adjacency-list when it declares nothing) and every
@@ -13,161 +14,69 @@
 // `AdjacencyListContract` (contiguity + replay), edge streams get
 // `EdgeStreamContract` (exactly-once + declared-permutation checks).
 //
-// Two modes:
-//   - `RunPasses` trusts the stream (the historical behaviour): the stream
-//     is assumed to honour the model contract, and a malformed stream
-//     produces an arbitrary estimate or a CHECK abort inside the algorithm.
-//   - `RunPassesChecked` is the opt-in strict mode: the per-model contract
-//     observes every event before the algorithm does, the algorithm stops
-//     receiving elements at the first contract violation, and the run
-//     returns an error `Status` (with the violation's stream position)
-//     instead of a wrong answer.
+// One pass loop, one sink. All four entry points replay the stream into
+// `internal::SessionSink`, which feeds the session and takes two optional
+// parts:
+//   - a model contract (`RunPassesChecked` and friends): the contract sees
+//     every event first and the algorithm receives only the contract's
+//     ok-prefix, so it stops receiving elements at the first violation and
+//     the run returns an error `Status` (with the violation's stream
+//     position) instead of a wrong answer. Without one (`RunPasses`) the
+//     stream is trusted, and a malformed stream produces an arbitrary
+//     estimate or a CHECK abort inside the algorithm.
+//   - a checkpoint callback (`RunPassesCheckedWithCheckpoints`): after
+//     every adjacency list the contract accepted, the complete run —
+//     pass/list cursor, RunReport, contract and algorithm state — goes to
+//     the callback as one snapshot envelope. `ResumePassesChecked` rebuilds
+//     the run from those bytes alone on fresh objects, skips the lists the
+//     checkpoint covers, and finishes bit-identically to an uninterrupted
+//     run (tests/chaos_recovery_test.cc crashes at every boundary and
+//     asserts exactly that). Corrupt or hostile snapshots come back as a
+//     typed error Status — a damaged checkpoint can never turn into a
+//     silently wrong estimate, an abort, or an unbounded allocation.
 //
-// Both are templates over the stream type so `AdjacencyListStream`,
-// `ArbitraryOrderStream`, `RandomOrderStream`, and `FaultInjectingStream`
-// (or any type with `graph()` / `ReplayPass` speaking the two-level event
-// grammar) drive identically — edge streams package their elements as
-// u-runs (stream/arbitrary_stream.h), so there is no separate edge-stream
-// driver. They are also templates over the algorithm type: called with
-// a concrete (ideally `final`) algorithm pointer, the metering sinks bind
-// the callbacks statically — one devirtualized OnListBatch per adjacency
-// list instead of 2m virtual OnPair calls per pass. Called through a
-// `StreamAlgorithm*` (the default), dispatch stays virtual and behaviour is
-// unchanged; both entry points produce bit-identical reports and estimates.
+// Streams hand the sink whole lists (`OnList`) when they have them, and
+// single pairs (`OnPair`, e.g. FaultInjectingStream) otherwise; both
+// reach the session's one element entry point, `OnListBatch`, as spans.
+// The entry points are templates over the stream type — any type with
+// `graph()` / `ReplayPass` speaking the two-level event grammar drives
+// identically; edge streams package their elements as u-runs
+// (stream/arbitrary_stream.h) — and over the algorithm type: a concrete
+// (ideally `final`) algorithm pointer binds the per-list calls
+// statically, a `StreamAlgorithm*` keeps them virtual, with bit-identical
+// reports and estimates either way.
 //
-// Batched delivery: streams that expose whole adjacency lists (see
-// AdjacencyListStream::ReplayPass) hand each list to MeteredSink::OnList,
-// which forwards it to the algorithm's OnListBatch. The algorithm-facing
-// contract (stream/algorithm.h) guarantees this is indistinguishable from
-// the per-pair loop. Exception: when a tracer requests mid-list samples
-// (`pair_stride != 0`), the sink falls back to per-pair delivery so every
-// stride sample fires at exactly the same pair count with the same value.
-//
-// Space audit: every space sample reads two quantities — the algorithm's
-// self-reported `CurrentSpaceBytes()` and, when `memory_domain()` is
-// non-null, the allocator-measured live bytes of the algorithm's
-// containers. The report carries both peaks plus the largest divergence
-// observed at any sample, so self-reporting bugs show up as a number
-// rather than staying invisible (tests/space_audit_test.cc pins the
-// allowed slack per estimator).
-//
-// Checkpointing: `RunPassesCheckedWithCheckpoints` snapshots the complete
-// run — driver report, validator, and algorithm state — after every
-// adjacency list, handing the envelope bytes to a caller callback.
-// `ResumePassesChecked` rebuilds the run from those bytes alone on fresh
-// objects and finishes the stream; the final estimate and RunReport are
-// bit-identical to an uninterrupted run (tests/chaos_recovery_test.cc
-// crashes at every boundary and asserts exactly that). Corrupt snapshots
-// come back as a typed error Status from the snapshot layer — a damaged
-// checkpoint can never turn into a silently wrong estimate.
-//
-// Observability: both drivers take an optional `TraceOptions`. A
-// `SpaceTracer` receives the same space samples the report's peaks are
-// computed from (plus optional mid-list samples every `pair_stride`
-// pairs), so the tracer's timeline max equals `reported_peak_bytes`
-// exactly; a `MetricsRegistry` receives driver/validator counters at the
-// end of the run; a `TraceSession` receives pass/list/validate execution
-// spans (Chrome trace-event format). Tracing never touches the
-// algorithm's inputs, so traced and untraced runs produce bit-identical
-// estimates.
+// Observability: every entry point takes an optional `TraceOptions`
+// (stream/session.h). A `MetricsRegistry` additionally receives driver
+// counters — and, for checked runs, the contract's counters — when the
+// run ends.
 
 #ifndef CYCLESTREAM_STREAM_DRIVER_H_
 #define CYCLESTREAM_STREAM_DRIVER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
 #include "stream/model.h"
+#include "stream/session.h"
 #include "stream/validator.h"
 #include "util/check.h"
 #include "util/status.h"
 
 namespace cyclestream {
 namespace stream {
-
-/// Space/throughput of one pass (RunReport::per_pass).
-struct PassReport {
-  /// Peak of CurrentSpaceBytes() within this pass.
-  std::size_t reported_peak_bytes = 0;
-  /// Peak of allocator-measured live bytes within this pass (0 when the
-  /// algorithm exposes no memory domain).
-  std::size_t audited_peak_bytes = 0;
-  /// Pairs delivered in this pass.
-  std::size_t pairs_processed = 0;
-  /// Hardware counters spent in this pass (all zero unless
-  /// TraceOptions::prof was set). Observability, not algorithm state:
-  /// excluded from snapshot serialization, so a resumed run's counters
-  /// cover only post-resume work and checkpoint bytes stay identical
-  /// with profiling on or off.
-  obs::ProfCounters prof;
-};
-
-/// Result of driving an algorithm over a stream.
-struct RunReport {
-  /// Peak of CurrentSpaceBytes() sampled at every list boundary and at pass
-  /// boundaries, across all passes.
-  std::size_t reported_peak_bytes = 0;
-  /// Peak of allocator-measured live bytes at the same sample points
-  /// (0 when the algorithm exposes no memory domain).
-  std::size_t audited_peak_bytes = 0;
-  /// Largest |audited - reported| over all samples (0 when unaudited).
-  std::size_t max_divergence_bytes = 0;
-  /// Total pairs delivered across all passes.
-  std::size_t pairs_processed = 0;
-  /// The algorithm's passes() at launch — the pass count the driver set out
-  /// to run, NOT the number completed. A checked run that aborts on a
-  /// violation completes fewer; `per_pass.size()` is always the count of
-  /// passes actually started/completed.
-  int passes_requested = 0;
-  /// Per-pass breakdown; size() == passes completed (may be <
-  /// passes_requested if a checked run aborted on a violation).
-  std::vector<PassReport> per_pass;
-  /// Sum of per_pass prof counters (see PassReport::prof).
-  obs::ProfCounters prof;
-};
-
-/// Optional instrumentation for a driver run. Default-constructed ==
-/// untraced: the driver's behaviour and the algorithm's inputs are
-/// identical either way.
-struct TraceOptions {
-  /// If set, receives BeginPass + a space sample at every list boundary
-  /// (and mid-list per the tracer's pair_stride) and at each pass end.
-  obs::SpaceTracer* tracer = nullptr;
-  /// If set, receives "driver.*" counters (and, for checked runs,
-  /// "validator.*") when the run finishes.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// If set, receives execution spans: one "pass" span per pass, one
-  /// strided "list" span per `list_span_stride` adjacency lists, and (in
-  /// checked runs) a strided "validate" span timing the validator's work
-  /// on one list per stride window.
-  obs::TraceSession* spans = nullptr;
-  /// Lists per "list" span; 1 = a span per list (hot — use on small
-  /// streams only).
-  std::size_t list_span_stride = 1024;
-  /// If set, receives structured "driver" records: one debug record per
-  /// completed pass (pass index, pairs, peak bytes). Never consulted on
-  /// the per-pair path.
-  obs::Logger* logger = nullptr;
-  /// If set, every pass runs under a ProfScope named
-  /// "driver.pass/pass=N" and its hardware-counter delta lands in
-  /// PassReport::prof / RunReport::prof. One branch per pass when null;
-  /// nothing on the per-pair path either way.
-  obs::Profiler* prof = nullptr;
-};
 
 /// Caller verdict after receiving one checkpoint snapshot.
 enum class CheckpointAction {
@@ -188,420 +97,8 @@ struct CheckpointedRun {
 
 namespace internal {
 
-// Adapter turning ReplayPass callbacks into StreamAlgorithm calls while
-// sampling space at list boundaries. Templating over the concrete algorithm
-// type devirtualizes the per-event calls; AlgoT = StreamAlgorithm (the
-// default) is the type-erased entry point.
-template <typename AlgoT = StreamAlgorithm>
-class MeteredSink {
-  static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
-
- public:
-  MeteredSink(AlgoT* algorithm, RunReport* report,
-              const TraceOptions& trace = {})
-      : algorithm_(algorithm),
-        report_(report),
-        domain_(algorithm->memory_domain()),
-        tracer_(trace.tracer),
-        spans_(trace.spans),
-        prof_(trace.prof),
-        list_span_stride_(std::max<std::size_t>(trace.list_span_stride, 1)),
-        pair_stride_(trace.tracer != nullptr ? trace.tracer->pair_stride()
-                                             : 0) {}
-
-  void BeginPass(int pass) {
-    report_->per_pass.emplace_back();
-    if (tracer_ != nullptr) tracer_->BeginPass(static_cast<std::size_t>(pass));
-    if (spans_ != nullptr) {
-      pass_span_ = obs::TraceSession::Begin(
-          spans_, "pass " + std::to_string(pass), "pass");
-      lists_in_window_ = 0;
-      window_start_vertex_ = 0;
-    }
-    BeginPassProf(pass);
-  }
-
-  // BeginPass for a pass restored from a checkpoint: the restored report
-  // already holds the pass's in-progress PassReport, so only the tracing
-  // side effects run — no new per_pass entry.
-  void ResumePass(int pass) {
-    CYCLESTREAM_CHECK(!report_->per_pass.empty());
-    if (tracer_ != nullptr) tracer_->BeginPass(static_cast<std::size_t>(pass));
-    if (spans_ != nullptr) {
-      pass_span_ = obs::TraceSession::Begin(
-          spans_, "pass " + std::to_string(pass), "pass");
-      lists_in_window_ = 0;
-      window_start_vertex_ = 0;
-    }
-    BeginPassProf(pass);
-  }
-
-  void BeginList(VertexId u) {
-    if (spans_ != nullptr && lists_in_window_ == 0) {
-      window_start_vertex_ = u;
-      list_span_ = obs::TraceSession::Begin(spans_, "lists", "list");
-    }
-    algorithm_->BeginList(u);
-  }
-
-  void OnPair(VertexId u, VertexId v) {
-    algorithm_->OnPair(u, v);
-    ++report_->pairs_processed;
-    ++report_->per_pass.back().pairs_processed;
-    if (pair_stride_ != 0 &&
-        report_->per_pass.back().pairs_processed % pair_stride_ == 0) {
-      // Mid-list sample: finer timeline resolution for long lists. Not
-      // fed into the peak (the model measures at list boundaries), and
-      // CurrentSpaceBytes() mid-list is <= the boundary value for every
-      // algorithm here, so the timeline max is unaffected.
-      tracer_->Sample(report_->per_pass.back().pairs_processed,
-                      algorithm_->CurrentSpaceBytes(),
-                      domain_ != nullptr ? domain_->live_bytes() : 0);
-    }
-  }
-
-  void OnList(VertexId u, std::span<const VertexId> list) {
-    if (pair_stride_ != 0) {
-      // Mid-list stride samples must fire at the exact same pair counts
-      // with the exact same values as per-pair delivery; a whole-list
-      // handoff would move them to the list boundary. Fall back.
-      for (VertexId v : list) OnPair(u, v);
-      return;
-    }
-    algorithm_->OnListBatch(u, list);
-    report_->pairs_processed += list.size();
-    report_->per_pass.back().pairs_processed += list.size();
-  }
-
-  void EndList(VertexId u) {
-    algorithm_->EndList(u);
-    SampleSpace();
-    if (spans_ != nullptr && ++lists_in_window_ >= list_span_stride_) {
-      CloseListSpan(u);
-    }
-  }
-
-  void EndPass() {
-    SampleSpace();
-    if (spans_ != nullptr) {
-      if (lists_in_window_ != 0) CloseListSpan(window_start_vertex_);
-      pass_span_.SetArg(
-          "pairs_processed",
-          obs::Json(report_->per_pass.back().pairs_processed));
-      pass_span_.End();
-    }
-    if (prof_ != nullptr) {
-      const obs::ProfCounters delta = pass_prof_.End();
-      report_->per_pass.back().prof.Add(delta);
-      report_->prof.Add(delta);
-    }
-  }
-
- private:
-  void BeginPassProf(int pass) {
-    if (prof_ != nullptr) {
-      pass_prof_ = obs::Profiler::Begin(
-          prof_, "driver.pass/pass=" + std::to_string(pass));
-    }
-  }
-
-  void SampleSpace() {
-    const std::size_t reported = algorithm_->CurrentSpaceBytes();
-    PassReport& pass = report_->per_pass.back();
-    pass.reported_peak_bytes = std::max(pass.reported_peak_bytes, reported);
-    report_->reported_peak_bytes =
-        std::max(report_->reported_peak_bytes, reported);
-    std::size_t audited = 0;
-    if (domain_ != nullptr) {
-      audited = domain_->live_bytes();
-      pass.audited_peak_bytes = std::max(pass.audited_peak_bytes, audited);
-      report_->audited_peak_bytes =
-          std::max(report_->audited_peak_bytes, audited);
-      const std::size_t divergence =
-          audited > reported ? audited - reported : reported - audited;
-      report_->max_divergence_bytes =
-          std::max(report_->max_divergence_bytes, divergence);
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Sample(pass.pairs_processed, reported, audited);
-    }
-  }
-
-  void CloseListSpan(VertexId last_vertex) {
-    list_span_.SetArg("first_vertex", obs::Json(window_start_vertex_));
-    list_span_.SetArg("last_vertex", obs::Json(last_vertex));
-    list_span_.SetArg("lists", obs::Json(lists_in_window_));
-    list_span_.End();
-    lists_in_window_ = 0;
-  }
-
-  AlgoT* algorithm_;
-  RunReport* report_;
-  const obs::MemoryDomain* domain_;
-  obs::SpaceTracer* tracer_;
-  obs::TraceSession* spans_;
-  obs::Profiler* prof_;
-  std::size_t list_span_stride_;
-  std::size_t pair_stride_;
-  obs::TraceSession::Span pass_span_;
-  obs::TraceSession::Span list_span_;
-  obs::ProfScope pass_prof_;
-  std::size_t lists_in_window_ = 0;
-  VertexId window_start_vertex_ = 0;
-};
-
-// MeteredSink with a per-model contract in front: the contract sees every
-// event first, and the algorithm stops receiving events at the first
-// violation so it is never fed contract-breaking input. ValidatorT is the
-// concrete contract type (AdjacencyListContract, EdgeStreamContract, ...)
-// so its per-event calls bind statically.
-template <typename AlgoT = StreamAlgorithm,
-          typename ValidatorT = StreamValidator>
-class ValidatedSink {
- public:
-  ValidatedSink(AlgoT* algorithm, RunReport* report,
-                ValidatorT* validator, const TraceOptions& trace = {})
-      : inner_(algorithm, report, trace),
-        validator_(validator),
-        spans_(trace.spans),
-        list_span_stride_(std::max<std::size_t>(trace.list_span_stride, 1)) {}
-
-  void BeginPass(int pass) {
-    inner_.BeginPass(pass);
-    lists_in_window_ = 0;
-  }
-
-  void ResumePass(int pass) {
-    inner_.ResumePass(pass);
-    lists_in_window_ = 0;
-  }
-
-  void BeginList(VertexId u) {
-    validator_->BeginList(u);
-    if (validator_->ok()) inner_.BeginList(u);
-  }
-
-  void OnPair(VertexId u, VertexId v) {
-    validator_->OnPair(u, v);
-    if (validator_->ok()) inner_.OnPair(u, v);
-  }
-
-  void OnList(VertexId u, std::span<const VertexId> list) {
-    // The validator consumes the whole span regardless (its counters tally
-    // every violation); its return value is how many leading pairs were
-    // consumed while still ok() — exactly the pairs per-pair delivery
-    // would have handed to the algorithm.
-    std::size_t ok_prefix;
-    if (spans_ != nullptr && lists_in_window_ == 0) {
-      auto span = obs::TraceSession::Begin(spans_, "validate", "validate");
-      span.SetArg("vertex", obs::Json(u));
-      span.SetArg("pairs", obs::Json(list.size()));
-      ok_prefix = validator_->OnList(u, list);
-    } else {
-      ok_prefix = validator_->OnList(u, list);
-    }
-    if (spans_ != nullptr && ++lists_in_window_ >= list_span_stride_) {
-      lists_in_window_ = 0;
-    }
-    if (ok_prefix == list.size()) {
-      inner_.OnList(u, list);
-    } else {
-      for (std::size_t i = 0; i < ok_prefix; ++i) inner_.OnPair(u, list[i]);
-    }
-  }
-
-  void EndList(VertexId u) {
-    validator_->EndList(u);
-    if (validator_->ok()) inner_.EndList(u);
-  }
-
-  void EndPass() { inner_.EndPass(); }
-
- private:
-  MeteredSink<AlgoT> inner_;
-  ValidatorT* validator_;
-  obs::TraceSession* spans_;
-  std::size_t list_span_stride_;
-  std::size_t lists_in_window_ = 0;
-};
-
-// FaultInjectingStream keeps a pass cursor; rewind it so a driver call
-// always starts from pass 0. No-op for plain streams.
-template <typename StreamT>
-void RewindIfResettable(const StreamT& stream) {
-  if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
-}
-
-// Model-compatibility gate: OK iff the algorithm declares it accepts the
-// stream's declared model.
-template <typename StreamT, typename AlgoT>
-Status CheckModelAccepted(const StreamT& stream, const AlgoT* algorithm) {
-  const ModelDescriptor descriptor = DescriptorOf(stream);
-  if (algorithm->AcceptsModel(descriptor.model)) return Status::Ok();
-  return Status::FailedPrecondition(
-      std::string("algorithm does not accept the ") +
-      StreamModelName(descriptor.model) + " stream model");
-}
-
-// RunReport codec for checkpoint payloads: the report travels inside the
-// snapshot so a resumed run's peaks/counters continue from the exact values
-// the crashed run had accumulated. Prof counters are deliberately NOT part
-// of the codec: they are observability, not stream-position state, and
-// hardware counts are nondeterministic — serializing them would make
-// checkpoint bytes differ between profiled and unprofiled runs and break
-// the chaos harness's bit-identity checks. A resumed run's prof counters
-// therefore cover only post-resume work.
-inline void SerializeReport(const RunReport& report,
-                            snapshot::SnapshotWriter& w) {
-  w.WriteU64(report.reported_peak_bytes);
-  w.WriteU64(report.audited_peak_bytes);
-  w.WriteU64(report.max_divergence_bytes);
-  w.WriteU64(report.pairs_processed);
-  w.WriteU64(static_cast<std::uint64_t>(report.passes_requested));
-  w.WriteU64(report.per_pass.size());
-  for (const PassReport& pass : report.per_pass) {
-    w.WriteU64(pass.reported_peak_bytes);
-    w.WriteU64(pass.audited_peak_bytes);
-    w.WriteU64(pass.pairs_processed);
-  }
-}
-
-inline void RestoreReport(snapshot::SnapshotReader& r, RunReport* report) {
-  report->reported_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->audited_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->max_divergence_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->pairs_processed = static_cast<std::size_t>(r.ReadU64());
-  report->passes_requested = static_cast<int>(r.ReadU64());
-  const std::uint64_t passes = r.ReadU64();
-  if (!r.status().ok()) return;
-  report->per_pass.clear();
-  report->per_pass.reserve(static_cast<std::size_t>(passes));
-  for (std::uint64_t i = 0; i < passes && r.status().ok(); ++i) {
-    PassReport pass;
-    pass.reported_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-    pass.audited_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-    pass.pairs_processed = static_cast<std::size_t>(r.ReadU64());
-    report->per_pass.push_back(pass);
-  }
-}
-
-// ValidatedSink that additionally snapshots the full run after every
-// completed adjacency list and hands the envelope to `on_checkpoint`. When
-// the callback answers kStop the sink goes inert — the crash point: no
-// event past the checkpointed boundary reaches the validator or algorithm.
-// No checkpoint is offered once the validator has flagged a violation
-// (resuming from a known-bad stream position would be meaningless; the last
-// good snapshot predates the violation by construction).
-template <typename AlgoT, typename CheckpointFn,
-          typename ValidatorT = StreamValidator>
-class CheckpointingSink {
- public:
-  CheckpointingSink(AlgoT* algorithm, RunReport* report,
-                    ValidatorT* validator, CheckpointFn* on_checkpoint,
-                    const TraceOptions& trace = {})
-      : inner_(algorithm, report, validator, trace),
-        algorithm_(algorithm),
-        report_(report),
-        validator_(validator),
-        on_checkpoint_(on_checkpoint) {}
-
-  void BeginPass(int pass) {
-    pass_ = pass;
-    lists_done_ = 0;
-    inner_.BeginPass(pass);
-  }
-
-  // Resume counterpart: the restored run re-enters pass `pass` with
-  // `lists_done` lists already delivered before the crash.
-  void ResumePass(int pass, std::size_t lists_done) {
-    pass_ = pass;
-    lists_done_ = lists_done;
-    inner_.ResumePass(pass);
-  }
-
-  void BeginList(VertexId u) {
-    if (!stopped_) inner_.BeginList(u);
-  }
-  void OnPair(VertexId u, VertexId v) {
-    if (!stopped_) inner_.OnPair(u, v);
-  }
-  void OnList(VertexId u, std::span<const VertexId> list) {
-    if (!stopped_) inner_.OnList(u, list);
-  }
-
-  void EndList(VertexId u) {
-    if (stopped_) return;
-    inner_.EndList(u);
-    ++lists_done_;
-    if (!validator_->ok()) return;
-    snapshot::SnapshotWriter w;
-    w.WriteU64(static_cast<std::uint64_t>(pass_));
-    w.WriteU64(lists_done_);
-    SerializeReport(*report_, w);
-    validator_->Serialize(w);
-    algorithm_->Serialize(w);
-    if ((*on_checkpoint_)(pass_, lists_done_, std::move(w).Finish()) ==
-        CheckpointAction::kStop) {
-      stopped_ = true;
-    }
-  }
-
-  void EndPass() { inner_.EndPass(); }
-
-  bool stopped() const { return stopped_; }
-
- private:
-  ValidatedSink<AlgoT, ValidatorT> inner_;
-  AlgoT* algorithm_;
-  RunReport* report_;
-  ValidatorT* validator_;
-  CheckpointFn* on_checkpoint_;
-  int pass_ = 0;
-  std::size_t lists_done_ = 0;
-  bool stopped_ = false;
-};
-
-// Swallows a ReplayPass: used to advance a stateful stream's pass cursor
-// (fault schedules key off the pass number) past already-completed passes
-// when resuming.
-struct DiscardSink {
-  void BeginList(VertexId) {}
-  void OnPair(VertexId, VertexId) {}
-  void OnList(VertexId, std::span<const VertexId>) {}
-  void EndList(VertexId) {}
-};
-
-// Replay adapter that drops the first `skip` complete adjacency lists —
-// the lists a checkpoint already covers — and forwards the rest untouched.
-// Exposes OnList so batched streams keep their batch path for the
-// forwarded suffix.
-template <typename SinkT>
-class ListSkippingSink {
- public:
-  ListSkippingSink(SinkT* inner, std::size_t skip)
-      : inner_(inner), skip_(skip) {}
-
-  void BeginList(VertexId u) {
-    if (skip_ == 0) inner_->BeginList(u);
-  }
-  void OnPair(VertexId u, VertexId v) {
-    if (skip_ == 0) inner_->OnPair(u, v);
-  }
-  void OnList(VertexId u, std::span<const VertexId> list) {
-    if (skip_ == 0) inner_->OnList(u, list);
-  }
-  void EndList(VertexId u) {
-    if (skip_ == 0) {
-      inner_->EndList(u);
-    } else {
-      --skip_;
-    }
-  }
-
- private:
-  SinkT* inner_;
-  std::size_t skip_;
-};
+using NoCheckpoint = CheckpointAction (*)(int, std::size_t,
+                                          std::vector<std::uint8_t>);
 
 inline void ExportDriverMetrics(const RunReport& report,
                                 obs::MetricsRegistry* metrics) {
@@ -613,32 +110,183 @@ inline void ExportDriverMetrics(const RunReport& report,
       .Increment(static_cast<std::uint64_t>(report.passes_requested));
   metrics->GetCounter("driver.pairs_processed")
       .Increment(report.pairs_processed);
-  if (!report.prof.IsZero()) {
-    metrics->GetCounter("driver.prof.cycles").Increment(report.prof.cycles);
-    metrics->GetCounter("driver.prof.instructions")
-        .Increment(report.prof.instructions);
-    metrics->GetCounter("driver.prof.cache_references")
-        .Increment(report.prof.cache_references);
-    metrics->GetCounter("driver.prof.cache_misses")
-        .Increment(report.prof.cache_misses);
-    metrics->GetCounter("driver.prof.branch_misses")
-        .Increment(report.prof.branch_misses);
-    metrics->GetCounter("driver.prof.task_clock_ns")
-        .Increment(report.prof.task_clock_ns);
+  if (report.prof.IsZero()) return;
+  for (const auto& [name, field] : obs::kProfFields) {
+    metrics->GetCounter(std::string("driver.prof.") + name)
+        .Increment(report.prof.*field);
   }
 }
 
-// One structured record per completed pass (debug level; no-op without a
-// logger or below debug).
-inline void LogPass(obs::Logger* logger, int pass, const RunReport& report) {
-  if (logger == nullptr || !logger->Enabled(obs::LogLevel::kDebug)) return;
-  const PassReport& p = report.per_pass.back();
-  obs::Json fields = obs::Json::Object();
-  fields.Set("pass", obs::Json(static_cast<std::uint64_t>(pass)));
-  fields.Set("pairs", obs::Json(static_cast<std::uint64_t>(p.pairs_processed)));
-  fields.Set("peak_bytes",
-             obs::Json(static_cast<std::uint64_t>(p.reported_peak_bytes)));
-  logger->Log(obs::LogLevel::kDebug, "driver", "pass complete", fields);
+// Contract type of a trusted run: the sink then compiles without any
+// contract, skip or checkpoint logic.
+struct NoContract;
+
+// The driver's one ReplayPass sink: forwards events to a session, behind an
+// optional contract (ContractT is the concrete contract type so its calls
+// bind statically; NoContract for a trusted run) and an optional per-list
+// checkpoint callback (nullable; checked runs only). After a kStop verdict
+// the sink goes inert — the crash point: nothing past the checkpointed
+// boundary reaches the contract or the algorithm.
+template <typename AlgoT, typename ContractT,
+          typename CheckpointFn = NoCheckpoint>
+class SessionSink {
+  static constexpr bool kChecked = !std::is_same_v<ContractT, NoContract>;
+
+ public:
+  SessionSink(StreamSession<AlgoT>* session, ContractT* contract,
+              CheckpointFn* on_checkpoint)
+      : session_(session), contract_(contract), on_checkpoint_(on_checkpoint) {
+    CYCLESTREAM_CHECK(kChecked ? contract != nullptr
+                               : on_checkpoint == nullptr);
+  }
+
+  // The one pass loop. The current pass has been begun (or resumed);
+  // replays until the session finishes, the contract flags a violation
+  // (the violating pass still ends), or a checkpoint callback stops the
+  // run (mid-pass: pass-end bookkeeping belongs to the resumed run).
+  // Exports metrics unless stopped — driver counters only for runs the
+  // contract accepted — and returns the contract's verdict.
+  template <typename StreamT>
+  CheckpointedRun ReplayToEnd(const StreamT& stream,
+                              obs::MetricsRegistry* metrics) {
+    bool ok = true;
+    for (;;) {
+      stream.ReplayPass(*this);
+      if (stopped_) break;
+      EndPass();
+      if constexpr (kChecked) ok = contract_->ok();
+      if (!ok || session_->finished()) break;
+      BeginPass();
+    }
+    CheckpointedRun run;
+    run.stopped = stopped_;
+    run.report = session_->TakeReport();
+    if (stopped_) return run;
+    if (ok) ExportDriverMetrics(run.report, metrics);
+    if constexpr (kChecked) {
+      if (metrics != nullptr) contract_->ExportMetrics(metrics);
+      run.status = contract_->ToStatus();
+    }
+    return run;
+  }
+
+  void BeginPass() {
+    if constexpr (kChecked) contract_->BeginPass(session_->pass());
+    session_->BeginPass();
+    lists_done_ = 0;
+  }
+
+  // Drops the next `lists` complete lists the stream replays: the ones a
+  // resumed run's checkpoint already covers.
+  void SkipLists(std::size_t lists) { skip_ = lists; }
+
+  void EndPass() {
+    if constexpr (kChecked) contract_->EndPass(session_->pass());
+    session_->EndPass();
+  }
+
+  void BeginList(VertexId u) {
+    if constexpr (kChecked) {
+      if (skip_ != 0 || stopped_) return;
+      contract_->BeginList(u);
+      if (!contract_->ok()) return;
+    }
+    session_->BeginList(u);
+  }
+
+  void OnPair(VertexId u, VertexId v) {
+    OnList(u, std::span<const VertexId>(&v, 1));
+  }
+
+  void OnList(VertexId u, std::span<const VertexId> list) {
+    if constexpr (kChecked) {
+      if (skip_ != 0 || stopped_) return;
+      if (!contract_->ok()) {
+        contract_->OnList(u, list);  // keeps tallying violations
+        return;
+      }
+      obs::TraceSession::Span span;
+      if (obs::TraceSession* spans = session_->window_spans()) {
+        span = obs::TraceSession::Begin(spans, "validate", "validate");
+        span.SetArg("vertex", obs::Json(u));
+        span.SetArg("pairs", obs::Json(list.size()));
+      }
+      // The contract consumes the whole span; the algorithm gets the
+      // leading elements consumed while it still held.
+      list = list.first(contract_->OnList(u, list));
+    }
+    session_->OnListBatch(u, list);
+  }
+
+  void EndList(VertexId u) {
+    if constexpr (kChecked) {
+      if (skip_ != 0) {
+        --skip_;
+        return;
+      }
+      if (stopped_) return;
+      contract_->EndList(u);
+      if (!contract_->ok()) return;
+    }
+    session_->EndList(u);
+    if constexpr (kChecked) {
+      if (on_checkpoint_ != nullptr) Checkpoint();
+    }
+  }
+
+ private:
+  void Checkpoint() {
+    ++lists_done_;
+    const int pass = session_->pass();
+    snapshot::SnapshotWriter w;
+    w.WriteU64(static_cast<std::uint64_t>(pass));
+    w.WriteU64(lists_done_);
+    session_->Serialize(w);
+    contract_->Serialize(w);
+    session_->algorithm()->Serialize(w);
+    stopped_ = (*on_checkpoint_)(pass, lists_done_, std::move(w).Finish()) ==
+               CheckpointAction::kStop;
+  }
+
+  StreamSession<AlgoT>* session_;
+  ContractT* contract_;
+  CheckpointFn* on_checkpoint_;
+  std::size_t lists_done_ = 0;  // lists checkpointed this pass
+  std::size_t skip_ = 0;        // lists the next replay drops
+  bool stopped_ = false;
+};
+
+// Model-compatibility gate: OK iff the algorithm declares it accepts the
+// stream's declared model.
+template <typename StreamT, typename AlgoT>
+Status CheckModelAccepted(const StreamT& stream, const AlgoT* algorithm) {
+  CYCLESTREAM_CHECK(algorithm != nullptr);
+  const ModelDescriptor descriptor = DescriptorOf(stream);
+  if (algorithm->AcceptsModel(descriptor.model)) return Status::Ok();
+  return Status::FailedPrecondition(
+      std::string("algorithm does not accept the ") +
+      StreamModelName(descriptor.model) + " stream model");
+}
+
+// A run from pass 0 on fresh objects, behind the model gate.
+template <typename StreamT, typename AlgoT, typename ContractT,
+          typename CheckpointFn = NoCheckpoint>
+CheckpointedRun RunFromStart(const StreamT& stream, AlgoT* algorithm,
+                             ContractT* contract, const TraceOptions& trace,
+                             CheckpointFn* on_checkpoint = nullptr) {
+  if (Status model_check = CheckModelAccepted(stream, algorithm);
+      !model_check.ok()) {
+    CheckpointedRun rejected;
+    rejected.status = std::move(model_check);
+    return rejected;
+  }
+  // FaultInjectingStream keeps a pass cursor; a run starts from pass 0.
+  if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
+  StreamSession<AlgoT> session(algorithm, trace);
+  SessionSink<AlgoT, ContractT, CheckpointFn> sink(&session, contract,
+                                                   on_checkpoint);
+  sink.BeginPass();
+  return sink.ReplayToEnd(stream, trace.metrics);
 }
 
 }  // namespace internal
@@ -654,27 +302,10 @@ inline void LogPass(obs::Logger* logger, int pass, const RunReport& report) {
 template <typename StreamT, typename AlgoT>
 RunReport RunPasses(const StreamT& stream, AlgoT* algorithm,
                     const TraceOptions& trace = {}) {
-  static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
-  CYCLESTREAM_CHECK(algorithm != nullptr);
-  CYCLESTREAM_CHECK(internal::CheckModelAccepted(stream, algorithm).ok());
-  internal::RewindIfResettable(stream);
-  RunReport report;
-  report.passes_requested = algorithm->passes();
-  CYCLESTREAM_CHECK_GE(report.passes_requested, 1);
-  internal::MeteredSink<AlgoT> sink(algorithm, &report, trace);
-  for (int pass = 0; pass < report.passes_requested; ++pass) {
-    sink.BeginPass(pass);
-    algorithm->BeginPass(pass);
-    stream.ReplayPass(sink);
-    algorithm->EndPass(pass);
-    // Sample once more after EndPass: pass-end state (e.g. a second-pass
-    // accumulator) counts toward the peak, and the tracer must see every
-    // sample the peak is computed from.
-    sink.EndPass();
-    internal::LogPass(trace.logger, pass, report);
-  }
-  internal::ExportDriverMetrics(report, trace.metrics);
-  return report;
+  CheckpointedRun run = internal::RunFromStart(
+      stream, algorithm, static_cast<internal::NoContract*>(nullptr), trace);
+  CYCLESTREAM_CHECK(run.status.ok());
+  return std::move(run.report);
 }
 
 /// Strict-mode driver: validates the stream online while running the
@@ -686,36 +317,11 @@ template <typename StreamT, typename AlgoT>
 StatusOr<RunReport> RunPassesChecked(const StreamT& stream,
                                      AlgoT* algorithm,
                                      const TraceOptions& trace = {}) {
-  static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
-  CYCLESTREAM_CHECK(algorithm != nullptr);
-  if (Status model_check = internal::CheckModelAccepted(stream, algorithm);
-      !model_check.ok()) {
-    return model_check;
-  }
-  internal::RewindIfResettable(stream);
-  RunReport report;
-  report.passes_requested = algorithm->passes();
-  CYCLESTREAM_CHECK_GE(report.passes_requested, 1);
-  auto validator = MakeContractForStream(stream);
-  internal::ValidatedSink<AlgoT, decltype(validator)> sink(
-      algorithm, &report, &validator, trace);
-  for (int pass = 0; pass < report.passes_requested; ++pass) {
-    sink.BeginPass(pass);
-    validator.BeginPass(pass);
-    algorithm->BeginPass(pass);
-    stream.ReplayPass(sink);
-    validator.EndPass(pass);
-    algorithm->EndPass(pass);
-    sink.EndPass();
-    internal::LogPass(trace.logger, pass, report);
-    if (!validator.ok()) {
-      if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-      return validator.ToStatus();
-    }
-  }
-  internal::ExportDriverMetrics(report, trace.metrics);
-  if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-  return report;
+  auto contract = MakeContractForStream(stream);
+  CheckpointedRun run =
+      internal::RunFromStart(stream, algorithm, &contract, trace);
+  if (!run.status.ok()) return run.status;
+  return std::move(run.report);
 }
 
 /// `RunPassesChecked` with crash-recovery checkpoints: after every completed
@@ -734,45 +340,9 @@ template <typename StreamT, typename AlgoT, typename CheckpointFn>
 CheckpointedRun RunPassesCheckedWithCheckpoints(
     const StreamT& stream, AlgoT* algorithm, CheckpointFn&& on_checkpoint,
     const TraceOptions& trace = {}) {
-  static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
-  CYCLESTREAM_CHECK(algorithm != nullptr);
-  CheckpointedRun result;
-  if (Status model_check = internal::CheckModelAccepted(stream, algorithm);
-      !model_check.ok()) {
-    result.status = std::move(model_check);
-    return result;
-  }
-  internal::RewindIfResettable(stream);
-  result.report.passes_requested = algorithm->passes();
-  CYCLESTREAM_CHECK_GE(result.report.passes_requested, 1);
-  auto validator = MakeContractForStream(stream);
-  auto* callback = &on_checkpoint;
-  internal::CheckpointingSink<AlgoT, std::remove_reference_t<CheckpointFn>,
-                              decltype(validator)>
-      sink(algorithm, &result.report, &validator, callback, trace);
-  for (int pass = 0; pass < result.report.passes_requested; ++pass) {
-    sink.BeginPass(pass);
-    validator.BeginPass(pass);
-    algorithm->BeginPass(pass);
-    stream.ReplayPass(sink);
-    if (sink.stopped()) {
-      // Crash point: pass-end bookkeeping belongs to the resumed run.
-      result.stopped = true;
-      return result;
-    }
-    validator.EndPass(pass);
-    algorithm->EndPass(pass);
-    sink.EndPass();
-    internal::LogPass(trace.logger, pass, result.report);
-    if (!validator.ok()) {
-      if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-      result.status = validator.ToStatus();
-      return result;
-    }
-  }
-  internal::ExportDriverMetrics(result.report, trace.metrics);
-  if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-  return result;
+  auto contract = MakeContractForStream(stream);
+  return internal::RunFromStart(stream, algorithm, &contract, trace,
+                                &on_checkpoint);
 }
 
 /// Resumes a checkpointed run from `snapshot` bytes alone. `algorithm` must
@@ -794,8 +364,6 @@ StatusOr<RunReport> ResumePassesChecked(
     const StreamT& stream, AlgoT* algorithm,
     std::span<const std::uint8_t> snapshot_bytes,
     const TraceOptions& trace = {}) {
-  static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
-  CYCLESTREAM_CHECK(algorithm != nullptr);
   if (Status model_check = internal::CheckModelAccepted(stream, algorithm);
       !model_check.ok()) {
     return model_check;
@@ -803,66 +371,34 @@ StatusOr<RunReport> ResumePassesChecked(
   StatusOr<snapshot::SnapshotReader> reader =
       snapshot::SnapshotReader::Open(snapshot_bytes);
   if (!reader.ok()) return reader.status();
-  const std::uint64_t resume_pass64 = reader->ReadU64();
+  const std::uint64_t resume_pass = reader->ReadU64();
   const std::uint64_t lists_done = reader->ReadU64();
-  RunReport report;
-  internal::RestoreReport(*reader, &report);
-  if (!reader->status().ok()) return reader->status();
-  const int resume_pass = static_cast<int>(resume_pass64);
-  if (report.passes_requested != algorithm->passes() || resume_pass < 0 ||
-      resume_pass >= report.passes_requested ||
-      report.per_pass.size() != static_cast<std::size_t>(resume_pass) + 1) {
-    return Status::FailedPrecondition(
-        "checkpoint pass bookkeeping does not match the algorithm");
-  }
-  auto validator = MakeContractForStream(stream);
-  Status restored = validator.Restore(*reader);
-  if (!restored.ok()) return restored;
-  restored = algorithm->Restore(*reader);
-  if (!restored.ok()) return restored;
-  restored = reader->Final();
+  StreamSession<AlgoT> session(algorithm, trace);
+  auto contract = MakeContractForStream(stream);
+  Status restored = session.Restore(*reader, resume_pass, /*finished=*/false);
+  if (restored.ok()) restored = contract.Restore(*reader);
+  if (restored.ok()) restored = algorithm->Restore(*reader);
+  if (restored.ok()) restored = reader->Final();
   if (!restored.ok()) return restored;
 
-  internal::RewindIfResettable(stream);
+  internal::SessionSink<AlgoT, decltype(contract)> sink(&session, &contract,
+                                                        nullptr);
   if constexpr (requires { stream.ResetPasses(); }) {
-    // Stateful stream: burn the completed passes so its per-pass cursor
-    // (e.g. a fault schedule keyed on the pass number) lines up.
-    internal::DiscardSink discard;
-    for (int pass = 0; pass < resume_pass; ++pass) stream.ReplayPass(discard);
-  }
-
-  internal::ValidatedSink<AlgoT, decltype(validator)> sink(
-      algorithm, &report, &validator, trace);
-  // The resume pass was already begun before the crash: restore its tracing
-  // context without re-running BeginPass on the validator or algorithm, and
-  // skip the lists the checkpoint already covers.
-  sink.ResumePass(resume_pass);
-  internal::ListSkippingSink<decltype(sink)> skipping(&sink, lists_done);
-  stream.ReplayPass(skipping);
-  validator.EndPass(resume_pass);
-  algorithm->EndPass(resume_pass);
-  sink.EndPass();
-  if (!validator.ok()) {
-    if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-    return validator.ToStatus();
-  }
-  for (int pass = resume_pass + 1; pass < report.passes_requested; ++pass) {
-    sink.BeginPass(pass);
-    validator.BeginPass(pass);
-    algorithm->BeginPass(pass);
-    stream.ReplayPass(sink);
-    validator.EndPass(pass);
-    algorithm->EndPass(pass);
-    sink.EndPass();
-    internal::LogPass(trace.logger, pass, report);
-    if (!validator.ok()) {
-      if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-      return validator.ToStatus();
+    // Stateful stream: rewind, then burn the completed passes so its
+    // per-pass cursor (e.g. a fault schedule keyed on the pass number)
+    // lines up.
+    stream.ResetPasses();
+    for (int pass = 0; pass < session.pass(); ++pass) {
+      sink.SkipLists(std::numeric_limits<std::size_t>::max());
+      stream.ReplayPass(sink);
     }
   }
-  internal::ExportDriverMetrics(report, trace.metrics);
-  if (trace.metrics != nullptr) validator.ExportMetrics(trace.metrics);
-  return report;
+  // The checkpoint's pass is already under way.
+  session.ResumePass();
+  sink.SkipLists(static_cast<std::size_t>(lists_done));
+  CheckpointedRun run = sink.ReplayToEnd(stream, trace.metrics);
+  if (!run.status.ok()) return run.status;
+  return std::move(run.report);
 }
 
 }  // namespace stream

@@ -104,11 +104,6 @@ class AdjacencyListContract final : public ModelContract {
   std::size_t first_pass_pairs_ = 0;
 };
 
-/// Historical name: the adjacency-list contract predates the per-model
-/// hierarchy and most call sites (driver defaults, tests) still say
-/// StreamValidator.
-using StreamValidator = AdjacencyListContract;
-
 /// The contract a stream's model calls for: streams that know their model
 /// expose `MakeContract()` (edge-order streams return an
 /// `EdgeStreamContract` wired to their declared permutation); everything
@@ -130,15 +125,9 @@ template <typename StreamT>
 Status ValidateStream(const StreamT& stream, int passes = 1) {
   if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
   auto contract = MakeContractForStream(stream);
-  struct Forward {
-    decltype(contract)* c;
-    void BeginList(VertexId u) { c->BeginList(u); }
-    void OnPair(VertexId u, VertexId w) { c->OnPair(u, w); }
-    void EndList(VertexId u) { c->EndList(u); }
-  } sink{&contract};
   for (int pass = 0; pass < passes; ++pass) {
     contract.BeginPass(pass);
-    stream.ReplayPass(sink);
+    stream.ReplayPass(contract);  // the contract speaks the sink grammar
     contract.EndPass(pass);
   }
   return contract.ToStatus();

@@ -252,7 +252,7 @@ class CrossCheckTest(unittest.TestCase):
         self.assertIn("'bad'", errors[0])
 
     def test_timeline_maxima_must_match_points(self):
-        tl = record("timeline", label="t", trial=0, seed=1, pair_stride=0,
+        tl = record("timeline", label="t", trial=0, seed=1,
                     max_reported_bytes=100, max_audited_bytes=50,
                     passes=[{"points": [[0, 100, 50], [5, 90, 40]]}])
         self.assertEqual(br.check_timelines("m", self.grouped([tl])), [])

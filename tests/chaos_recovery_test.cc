@@ -326,6 +326,30 @@ TEST_F(SnapshotCorruptionTest, WrongGraphIsFailedPrecondition) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A CRC-valid checkpoint can still carry hostile counts. The pass
+// bookkeeping is checked before anything is sized from the bytes, so a
+// per-pass count of 2^40 (or a pass count that only matches after
+// truncation to int) is a typed error, never an allocation or an abort.
+TEST_F(SnapshotCorruptionTest, HostilePassCountsAreFailedPrecondition) {
+  auto forge = [](std::uint64_t pass, std::uint64_t passes_requested,
+                  std::uint64_t per_pass) {
+    snapshot::SnapshotWriter w;
+    w.WriteU64(pass);
+    w.WriteU64(0);                              // lists done
+    for (int i = 0; i < 4; ++i) w.WriteU64(0);  // peaks, divergence, pairs
+    w.WriteU64(passes_requested);
+    w.WriteU64(per_pass);
+    return std::move(w).Finish();
+  };
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const std::uint64_t two_mod_2_32 = (std::uint64_t{1} << 32) + 2;
+  for (const std::vector<std::uint8_t>& bytes :
+       {forge(0, 2, huge), forge(huge - 1, 2, huge), forge(0, huge, 1),
+        forge(0, two_mod_2_32, 1), forge(2, 2, 3)}) {
+    EXPECT_EQ(ResumeCode(bytes), StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(ChaosRecovery, ResumeOverFaultyStreamStillDetectsTheFault) {
   // Recovery must not weaken validation: a stream that breaks the contract
   // after the checkpoint is still rejected by the resumed run, with the

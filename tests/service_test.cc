@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "service/estimator_host.h"
 #include "service/mailbox.h"
 #include "service/service.h"
+#include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
 #include "stream/random_order_stream.h"
@@ -524,6 +526,45 @@ TEST(ServiceChaos, RestoreRejectsForeignAndCorruptManifests) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->estimate, 1.0);  // the triangle
   EXPECT_TRUE(view->finished);
+}
+
+// A CRC-valid manifest whose stream carries a per-pass count of 2^40 is
+// rejected with a typed Status before anything is sized from it; the
+// shard's drain keeps running, so later ops on the shard still complete.
+TEST(ServiceChaos, HostilePassCountInManifestIsTypedAndShardStaysLive) {
+  ServiceOptions options;
+  options.shards = 2;
+  EstimatorService svc(options);
+  StreamId id = 1;
+  while (EstimatorService::ShardOf(id, 2) != 0) ++id;
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  ASSERT_TRUE(svc.Create(id, spec).get().ok());
+
+  snapshot::SnapshotWriter inner;
+  SerializeSpec(spec, inner);
+  inner.WriteU64(0);                              // pass
+  inner.WriteBool(false);                         // finished
+  inner.WriteBool(false);                         // no latched error
+  for (int i = 0; i < 4; ++i) inner.WriteU64(0);  // peaks, divergence, pairs
+  inner.WriteU64(1);                              // passes requested
+  inner.WriteU64(std::uint64_t{1} << 40);         // per-pass reports
+  const std::vector<std::uint8_t> stream_bytes = std::move(inner).Finish();
+  snapshot::SnapshotWriter outer;
+  outer.WriteU64(1);
+  outer.WriteU64(id);
+  outer.WriteBytes(std::span<const std::uint8_t>(stream_bytes));
+  std::vector<std::uint8_t> manifest = std::move(outer).Finish();
+
+  Status restored = svc.RestoreShard(0, manifest).get();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition);
+
+  // The failed restore left the shard's stream in place and its drain live.
+  StatusOr<StreamView> view = svc.Query(id).get();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->pass, 0);
+  EXPECT_FALSE(view->finished);
 }
 
 // ---------------------------------------------------------------------------

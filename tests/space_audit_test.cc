@@ -49,7 +49,7 @@ void ExpectAuditedRun(const stream::AdjacencyListStream& s,
                       std::size_t configured_slots, const MakeAlgo& make,
                       const Extract& extract) {
   auto traced_algo = make();
-  obs::SpaceTracer tracer;  // pair_stride 0: list boundaries only
+  obs::SpaceTracer tracer;
   stream::RunReport report = stream::RunPasses(
       s, traced_algo.get(), stream::TraceOptions{&tracer, nullptr});
 
