@@ -1,5 +1,7 @@
 #include "core/exact_stream.h"
 
+#include <utility>
+
 #include "snapshot/codec.h"
 #include "util/check.h"
 
@@ -19,16 +21,24 @@ void ExactStreamTriangleCounter::HandlePair(VertexId u, VertexId v) {
 void ExactStreamTriangleCounter::EndList(VertexId u) {
   // A triangle {x, y, u} is counted at u's list iff edge {x, y} has fully
   // appeared in earlier lists — true exactly when u's list is the last of
-  // the three, so each triangle is counted once. Edge states are updated
-  // only after the scan so that pairs within this list don't self-trigger.
+  // the three, so each triangle is counted once. That needs x's and y's
+  // lists to be earlier, i.e. {u, x} and {u, y} already in edge_state_.
+  // One probe per neighbour records this list's copy of {u, v} and swaps
+  // the earlier-list neighbours to the front (in place, no allocation);
+  // pairs are then probed within that prefix only. The {u, v} updates
+  // cannot affect the pair probes: those edges avoid u.
+  std::size_t earlier = 0;
   for (std::size_t i = 0; i < current_list_.size(); ++i) {
-    for (std::size_t j = i + 1; j < current_list_.size(); ++j) {
+    auto [it, inserted] =
+        edge_state_.try_emplace(MakeEdgeKey(u, current_list_[i]), 0);
+    ++it->second;
+    if (!inserted) std::swap(current_list_[earlier++], current_list_[i]);
+  }
+  for (std::size_t i = 0; i < earlier; ++i) {
+    for (std::size_t j = i + 1; j < earlier; ++j) {
       auto it = edge_state_.find(MakeEdgeKey(current_list_[i], current_list_[j]));
       if (it != edge_state_.end() && it->second == 2) ++triangles_;
     }
-  }
-  for (VertexId v : current_list_) {
-    ++edge_state_[MakeEdgeKey(u, v)];
   }
   current_list_.clear();
 }

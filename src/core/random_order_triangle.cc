@@ -22,17 +22,20 @@ void RandomOrderTriangleCounter::BeginPass(int pass) {
   CYCLESTREAM_CHECK_EQ(pass, 0);
 }
 
-obs::AccountedVector<VertexId>& RandomOrderTriangleCounter::Neighbors(
-    VertexId v) {
-  return prefix_adjacency_
-      .try_emplace(v, obs::AccountedAllocator<VertexId>(&space_domain_))
-      .first->second;
-}
-
 void RandomOrderTriangleCounter::IndexPrefixEdge(EdgeKey key) {
   prefix_set_.insert(key);
-  Neighbors(EdgeKeyLo(key)).push_back(EdgeKeyHi(key));
-  Neighbors(EdgeKeyHi(key)).push_back(EdgeKeyLo(key));
+  AppendNeighbor(EdgeKeyLo(key), EdgeKeyHi(key));
+  AppendNeighbor(EdgeKeyHi(key), EdgeKeyLo(key));
+}
+
+void RandomOrderTriangleCounter::AppendNeighbor(VertexId v, VertexId w) {
+  obs::AccountedVector<VertexId>& nbrs =
+      prefix_adjacency_
+          .try_emplace(v, obs::AccountedAllocator<VertexId>(&space_domain_))
+          .first->second;
+  adjacency_capacity_ -= nbrs.capacity();
+  nbrs.push_back(w);
+  adjacency_capacity_ += nbrs.capacity();
 }
 
 std::uint64_t RandomOrderTriangleCounter::CountCommonPrefixNeighbors(
@@ -69,14 +72,10 @@ void RandomOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
 std::size_t RandomOrderTriangleCounter::CurrentSpaceBytes() const {
   constexpr std::size_t kMapEntryOverhead = 48;
   constexpr std::size_t kSetEntryOverhead = 16;
-  std::size_t adjacency_bytes = 0;
-  for (const auto& [vertex, nbrs] : prefix_adjacency_) {
-    (void)vertex;
-    adjacency_bytes += nbrs.capacity() * sizeof(VertexId);
-  }
   return prefix_edges_.capacity() * sizeof(EdgeKey) +
          prefix_set_.size() * kSetEntryOverhead +
-         prefix_adjacency_.size() * kMapEntryOverhead + adjacency_bytes;
+         prefix_adjacency_.size() * kMapEntryOverhead +
+         adjacency_capacity_ * sizeof(VertexId);
 }
 
 void RandomOrderTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {

@@ -91,8 +91,10 @@ class RandomOrderTriangleCounter final
   // lists); shared by HandlePair and the Restore replay.
   void IndexPrefixEdge(EdgeKey key);
 
-  // Prefix-neighbor list for `v`, creating it bound to space_domain_.
-  obs::AccountedVector<VertexId>& Neighbors(VertexId v);
+  // Appends `w` to v's prefix-neighbor list (creating it bound to
+  // space_domain_), keeping adjacency_capacity_ equal to the sum of all
+  // neighbor-list capacities.
+  void AppendNeighbor(VertexId v, VertexId w);
 
   // Common prefix-neighbors of u and v (smaller-list scan + O(1) probes).
   std::uint64_t CountCommonPrefixNeighbors(VertexId u, VertexId v) const;
@@ -107,6 +109,10 @@ class RandomOrderTriangleCounter final
   obs::AccountedUnorderedSet<EdgeKey> prefix_set_;
   obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<VertexId>>
       prefix_adjacency_;
+  // Sum of the neighbor lists' capacities, kept by AppendNeighbor (lists
+  // only grow) so that CurrentSpaceBytes — sampled after every element of
+  // an edge stream — never walks the adjacency map.
+  std::size_t adjacency_capacity_ = 0;
 };
 
 }  // namespace core

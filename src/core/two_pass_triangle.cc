@@ -264,12 +264,11 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
         const TriEntry& entry = slab_[idx];
         for (int slot = 0; slot < 3; ++slot) {
           if (entry.vert[slot] == v) continue;  // edge opposite v excluded
-          EdgeKey key = EdgeKeyOfSlot(entry, slot);
-          auto eit = tri_edges_.find(key);
+          auto eit = tri_edges_.find(EdgeKeyOfSlot(entry, slot));
           if (eit == tri_edges_.end()) continue;
           TriEdgeWatch& watch = eit->second;
           if (!watch.flag_lo && !watch.flag_hi) {
-            touched_tri_edges_.push_back(key);
+            touched_tri_edges_.push_back(&watch);
           }
           if (watch.lo == v) {
             watch.flag_lo = true;
@@ -285,21 +284,24 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
 void TwoPassTriangleCounter::EndList(VertexId u) {
   if (pass_ == 1) {
     // Step 1: H increments for completed triangle edges whose reference
-    // third vertex has already been seen strictly earlier this pass.
-    for (EdgeKey key : touched_tri_edges_) {
-      auto it = tri_edges_.find(key);
-      if (it == tri_edges_.end()) continue;
-      TriEdgeWatch& watch = it->second;
-      if (watch.flag_lo && watch.flag_hi) {
-        for (const auto& [idx, slot] : watch.subscribers) {
+    // third vertex has already been seen strictly earlier this pass. The
+    // watch pointers are valid here: nothing erases a watch between
+    // HandlePair and this loop. Step 2's pair evictions can, so the flags
+    // are reset now.
+    for (TriEdgeWatch* watch : touched_tri_edges_) {
+      if (watch->flag_lo && watch->flag_hi) {
+        for (const auto& [idx, slot] : watch->subscribers) {
           TriEntry& entry = slab_[idx];
           if (entry.seen[slot]) ++entry.h[slot];
         }
       }
+      watch->flag_lo = watch->flag_hi = false;
     }
+    touched_tri_edges_.clear();
   }
 
-  // Step 2: triangle detections on sampled edges.
+  // Step 2: triangle detections on sampled edges, resetting their flags.
+  // HandleTriangleDetection never touches edge_sample_, so `st` stays valid.
   for (EdgeKey key : touched_edges_) {
     EdgeState* st = edge_sample_.Find(key);
     if (st == nullptr) continue;  // evicted mid-list
@@ -308,7 +310,9 @@ void TwoPassTriangleCounter::EndList(VertexId u) {
           pass_ == 0 ? true : list_pos_ < st->first_pos;
       if (is_new_detection) HandleTriangleDetection(key, st, u);
     }
+    st->flag_lo = st->flag_hi = false;
   }
+  touched_edges_.clear();
 
   if (pass_ == 1) {
     // Step 3: mark this list's vertex as seen for subscribed entries.
@@ -321,21 +325,7 @@ void TwoPassTriangleCounter::EndList(VertexId u) {
         }
       }
     }
-    // Reset triangle-edge flags.
-    for (EdgeKey key : touched_tri_edges_) {
-      auto it = tri_edges_.find(key);
-      if (it == tri_edges_.end()) continue;
-      it->second.flag_lo = it->second.flag_hi = false;
-    }
-    touched_tri_edges_.clear();
   }
-
-  // Reset sampled-edge flags.
-  for (EdgeKey key : touched_edges_) {
-    EdgeState* st = edge_sample_.Find(key);
-    if (st != nullptr) st->flag_lo = st->flag_hi = false;
-  }
-  touched_edges_.clear();
 
   ++list_pos_;
 }
@@ -358,6 +348,8 @@ std::size_t TwoPassTriangleCounter::CurrentSpaceBytes() const {
   bytes += 3 * pair_sample_.size() *
            (sizeof(std::pair<std::uint32_t, std::uint8_t>) +
             sizeof(std::uint32_t));
+  // Both scratch vectors hold 8-byte elements: edge keys, watch pointers.
+  static_assert(sizeof(TriEdgeWatch*) == sizeof(EdgeKey));
   bytes += (touched_edges_.capacity() + touched_tri_edges_.capacity()) *
            sizeof(EdgeKey);
   return bytes;

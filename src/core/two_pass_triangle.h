@@ -185,7 +185,9 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   obs::AccountedUnorderedMap<EdgeKey, TriEdgeWatch> tri_edges_;
   obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<std::uint32_t>>
       tri_verts_;
-  obs::AccountedVector<EdgeKey> touched_tri_edges_;
+  // Watches flagged in the current list (pass 2). Pointers are safe: map
+  // nodes never move, and EndList is done with them before any erase.
+  obs::AccountedVector<TriEdgeWatch*> touched_tri_edges_;
 
   std::uint64_t t_prime_ = 0;  // running candidate-pair count for current S
   // True once any candidate pair has been rejected by or evicted from Q;

@@ -49,6 +49,14 @@ const char* KindName(EstimatorKind kind) {
 }
 
 StatusOr<HostedEstimator> MakeHosted(const EstimatorSpec& spec) {
+  // Every kind but the exact counter sizes its state from `slots`, and its
+  // constructor CHECKs slots >= 1: reject zero before constructing, so a
+  // Create spec or a CRC-valid manifest cannot abort the process.
+  if (spec.slots == 0 && spec.kind != EstimatorKind::kExactStreamTriangle) {
+    return Status::InvalidArgument(std::string("estimator kind ") +
+                                   KindName(spec.kind) +
+                                   " needs slots >= 1, got 0");
+  }
   const std::size_t slots = static_cast<std::size_t>(spec.slots);
   HostedEstimator hosted;
   switch (spec.kind) {

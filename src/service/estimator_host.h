@@ -62,7 +62,9 @@ const char* KindName(EstimatorKind kind);
 
 /// Builds a fresh instance per `spec`, or kInvalidArgument for an unknown
 /// kind byte (reachable only through a corrupt/foreign checkpoint, since
-/// the envelope CRC vouches for the bytes).
+/// the envelope CRC vouches for the bytes) or for `slots == 0` on any kind
+/// that uses slots (reachable through a Create spec or a CRC-valid
+/// manifest).
 StatusOr<HostedEstimator> MakeHosted(const EstimatorSpec& spec);
 
 /// Spec codec for checkpoint manifests.

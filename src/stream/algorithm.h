@@ -11,6 +11,9 @@
 // Space accounting: `CurrentSpaceBytes()` must return the algorithm's live
 // working-state footprint. The driver samples it at every list boundary and
 // reports the peak, so the paper's space bounds are measured quantities.
+// Every list boundary is every element on an edge stream, so the report is
+// on the per-element path and must be O(1): keep running totals rather
+// than walking retained state.
 
 #ifndef CYCLESTREAM_STREAM_ALGORITHM_H_
 #define CYCLESTREAM_STREAM_ALGORITHM_H_
@@ -79,7 +82,8 @@ class StreamAlgorithm {
   virtual void EndList(VertexId u) { (void)u; }
   virtual void EndPass(int pass) { (void)pass; }
 
-  /// Live working-state footprint in bytes (see file comment).
+  /// Live working-state footprint in bytes (see file comment). Called at
+  /// every list boundary; must run in O(1).
   virtual std::size_t CurrentSpaceBytes() const = 0;
 
   /// Accounting domain covering this algorithm's containers, or nullptr when

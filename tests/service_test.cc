@@ -567,6 +567,44 @@ TEST(ServiceChaos, HostilePassCountInManifestIsTypedAndShardStaysLive) {
   EXPECT_FALSE(view->finished);
 }
 
+// A CRC-valid manifest whose spec asks for zero slots is rejected with a
+// typed Status instead of aborting in the estimator's constructor, and the
+// shard keeps serving.
+TEST(ServiceChaos, ZeroSlotsInManifestIsInvalidArgumentAndShardStaysLive) {
+  ServiceOptions options;
+  options.shards = 2;
+  EstimatorService svc(options);
+  StreamId id = 1;
+  while (EstimatorService::ShardOf(id, 2) != 0) ++id;
+  EstimatorSpec live;
+  live.kind = EstimatorKind::kExactStreamTriangle;
+  ASSERT_TRUE(svc.Create(id, live).get().ok());
+
+  for (int k = 0; k < kEstimatorKinds; ++k) {
+    EstimatorSpec spec;
+    spec.kind = static_cast<EstimatorKind>(k);
+    if (spec.kind == EstimatorKind::kExactStreamTriangle) continue;
+    spec.slots = 0;
+    snapshot::SnapshotWriter inner;
+    SerializeSpec(spec, inner);
+    const std::vector<std::uint8_t> stream_bytes = std::move(inner).Finish();
+    snapshot::SnapshotWriter outer;
+    outer.WriteU64(1);
+    outer.WriteU64(id);
+    outer.WriteBytes(std::span<const std::uint8_t>(stream_bytes));
+    std::vector<std::uint8_t> manifest = std::move(outer).Finish();
+
+    Status restored = svc.RestoreShard(0, manifest).get();
+    ASSERT_FALSE(restored.ok()) << KindName(spec.kind);
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+        << KindName(spec.kind);
+  }
+
+  StatusOr<StreamView> view = svc.Query(id).get();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_FALSE(view->finished);
+}
+
 // ---------------------------------------------------------------------------
 // API misuse surfaces as typed errors, never wrong answers.
 
@@ -592,6 +630,22 @@ TEST(ServiceErrors, UnknownDuplicateAndMisusedStreams) {
   ASSERT_FALSE(bad_kind.ok());
   EXPECT_EQ(bad_kind.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(svc.Query(2).get().status().code(), StatusCode::kNotFound);
+
+  // Zero slots would trip the estimators' slots >= 1 CHECK: it is a typed
+  // error that creates no stream for every kind that uses slots. The exact
+  // counter ignores slots.
+  for (int k = 0; k < kEstimatorKinds; ++k) {
+    const auto kind = static_cast<EstimatorKind>(k);
+    const StreamId id = 100 + static_cast<StreamId>(k);
+    Status zero = svc.Create(id, EstimatorSpec{kind, 0, 1}).get();
+    if (kind == EstimatorKind::kExactStreamTriangle) {
+      EXPECT_TRUE(zero.ok()) << zero.ToString();
+      continue;
+    }
+    ASSERT_FALSE(zero.ok()) << KindName(kind);
+    EXPECT_EQ(zero.code(), StatusCode::kInvalidArgument) << KindName(kind);
+    EXPECT_EQ(svc.Query(id).get().status().code(), StatusCode::kNotFound);
+  }
 
   // Feeding a finished stream latches an error every later Query returns.
   Graph g = testing_util::Triangle();

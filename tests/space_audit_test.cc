@@ -18,6 +18,7 @@
 #include "core/four_cycle.h"
 #include "core/one_pass_four_cycle.h"
 #include "core/one_pass_triangle.h"
+#include "core/random_order_triangle.h"
 #include "core/triangle_distinguisher.h"
 #include "core/two_pass_triangle.h"
 #include "core/wedge_sampling_triangle.h"
@@ -30,6 +31,7 @@
 #include "obs/space_tracer.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
+#include "stream/random_order_stream.h"
 #include "test_util.h"
 
 namespace cyclestream {
@@ -41,13 +43,41 @@ using testing_util::AuditFamilyGraphs;
 
 constexpr auto& kSeeds = testing_util::kFamilySeeds;
 
+struct TimelineMaxima {
+  std::uint64_t reported = 0, audited = 0, divergence = 0;
+};
+
+// Checks the audit contract at every sampled boundary of every pass in
+// `tracer` and returns the timeline maxima.
+TimelineMaxima ExpectWithinSlackEverywhere(const obs::SpaceTracer& tracer,
+                                           std::size_t configured_slots) {
+  TimelineMaxima max;
+  EXPECT_FALSE(tracer.timelines().empty());
+  for (const obs::SpaceTimeline& t : tracer.timelines()) {
+    EXPECT_FALSE(t.points.empty());
+    for (const obs::SpacePoint& p : t.points) {
+      EXPECT_TRUE(obs::WithinAuditSlack(p.reported_bytes, p.audited_bytes,
+                                        configured_slots))
+          << "reported=" << p.reported_bytes
+          << " audited=" << p.audited_bytes << " slots=" << configured_slots
+          << " at pairs=" << p.pairs_processed;
+      max.reported = std::max(max.reported, p.reported_bytes);
+      max.audited = std::max(max.audited, p.audited_bytes);
+      const std::uint64_t div = p.reported_bytes > p.audited_bytes
+                                    ? p.reported_bytes - p.audited_bytes
+                                    : p.audited_bytes - p.reported_bytes;
+      max.divergence = std::max(max.divergence, div);
+    }
+  }
+  return max;
+}
+
 // Runs `make()`'s algorithm with a full-resolution tracer and checks the
 // audit contract at every sampled boundary, then re-runs untraced and
 // asserts the extracted result is bit-identical.
-template <typename MakeAlgo, typename Extract>
-void ExpectAuditedRun(const stream::AdjacencyListStream& s,
-                      std::size_t configured_slots, const MakeAlgo& make,
-                      const Extract& extract) {
+template <typename StreamT, typename MakeAlgo, typename Extract>
+void ExpectAuditedRun(const StreamT& s, std::size_t configured_slots,
+                      const MakeAlgo& make, const Extract& extract) {
   auto traced_algo = make();
   obs::SpaceTracer tracer;
   stream::RunReport report = stream::RunPasses(
@@ -58,27 +88,12 @@ void ExpectAuditedRun(const stream::AdjacencyListStream& s,
   EXPECT_GT(report.audited_peak_bytes, 0u);
 
   // The audit contract holds at every sampled boundary of every pass.
-  std::uint64_t max_reported = 0, max_audited = 0, max_div = 0;
-  for (const obs::SpaceTimeline& t : tracer.timelines()) {
-    ASSERT_FALSE(t.points.empty());
-    for (const obs::SpacePoint& p : t.points) {
-      EXPECT_TRUE(obs::WithinAuditSlack(p.reported_bytes, p.audited_bytes,
-                                        configured_slots))
-          << "reported=" << p.reported_bytes
-          << " audited=" << p.audited_bytes << " slots=" << configured_slots
-          << " at pairs=" << p.pairs_processed;
-      max_reported = std::max(max_reported, p.reported_bytes);
-      max_audited = std::max(max_audited, p.audited_bytes);
-      const std::uint64_t div = p.reported_bytes > p.audited_bytes
-                                    ? p.reported_bytes - p.audited_bytes
-                                    : p.audited_bytes - p.reported_bytes;
-      max_div = std::max(max_div, div);
-    }
-  }
+  const TimelineMaxima max =
+      ExpectWithinSlackEverywhere(tracer, configured_slots);
   // The report's peaks and divergence are exactly the timeline maxima.
-  EXPECT_EQ(report.reported_peak_bytes, max_reported);
-  EXPECT_EQ(report.audited_peak_bytes, max_audited);
-  EXPECT_EQ(report.max_divergence_bytes, max_div);
+  EXPECT_EQ(report.reported_peak_bytes, max.reported);
+  EXPECT_EQ(report.audited_peak_bytes, max.audited);
+  EXPECT_EQ(report.max_divergence_bytes, max.divergence);
 
   // Auditing is passive: an untraced run produces a bit-identical result.
   auto plain_algo = make();
@@ -216,6 +231,57 @@ TEST(SpaceAudit, TriangleDistinguisher) {
             return std::tuple(r.found_triangle, r.naive_estimate,
                               r.incidences, r.edge_sample_size);
           });
+    }
+  }
+}
+
+// The random-order counter on edge streams, where the session samples
+// space after every element: fresh runs, and runs resumed from a snapshot
+// taken mid-stream, whose restored prefix index must audit like the
+// uninterrupted one.
+TEST(SpaceAudit, RandomOrderTriangle) {
+  for (std::uint64_t seed : kSeeds) {
+    for (const Graph& g : AuditFamilyGraphs(seed)) {
+      stream::RandomOrderStream s(&g, seed * 5 + 1);
+      core::RandomOrderTriangleOptions options;
+      options.prefix_size = 32;
+      options.seed = seed;
+      auto extract = [](const core::RandomOrderTriangleCounter& a) {
+        auto r = a.result();
+        return std::tuple(r.estimate, r.detections, r.prefix_edges);
+      };
+      ExpectAuditedRun(
+          s, options.prefix_size,
+          [&] {
+            return std::make_unique<core::RandomOrderTriangleCounter>(options);
+          },
+          extract);
+
+      // Crash halfway through the stream, then resume on a fresh instance.
+      core::RandomOrderTriangleCounter reference(options);
+      StatusOr<stream::RunReport> want =
+          stream::RunPassesChecked(s, &reference);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      std::vector<std::uint8_t> mid;
+      core::RandomOrderTriangleCounter crashed(options);
+      const std::size_t half = s.stream_length() / 2;
+      stream::CheckpointedRun cut = stream::RunPassesCheckedWithCheckpoints(
+          s, &crashed,
+          [&](int, std::size_t lists_done, std::vector<std::uint8_t> bytes) {
+            mid = std::move(bytes);
+            return lists_done >= half ? stream::CheckpointAction::kStop
+                                      : stream::CheckpointAction::kContinue;
+          });
+      ASSERT_TRUE(cut.status.ok()) << cut.status.ToString();
+      ASSERT_TRUE(cut.stopped);
+      core::RandomOrderTriangleCounter resumed(options);
+      obs::SpaceTracer tracer;
+      StatusOr<stream::RunReport> got = stream::ResumePassesChecked(
+          s, &resumed, mid, stream::TraceOptions{&tracer, nullptr});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectWithinSlackEverywhere(tracer, options.prefix_size);
+      testing_util::ExpectReportsEqual(*got, *want);
+      EXPECT_EQ(extract(resumed), extract(reference));
     }
   }
 }
