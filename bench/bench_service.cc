@@ -59,7 +59,6 @@
 #include "obs/accuracy.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
-#include "obs/logger.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "service/estimator_host.h"
@@ -185,16 +184,10 @@ struct SweepPoint {
 // every stream bitwise against its driver reference.
 SweepPoint RunConfig(const std::vector<Template>& templates,
                      std::size_t streams, int shards,
-                     obs::MetricsRegistry* registry,
-                     obs::FlightRecorder* flight,
-                     obs::TraceSession* trace, obs::Profiler* prof) {
+                     const obs::Observer& observe) {
   ServiceOptions options;
   options.shards = shards;
-  options.metrics = registry;
-  options.logger = &obs::Logger::Global();
-  options.flight = flight;
-  options.trace = trace;
-  options.prof = prof;
+  options.observe = observe;
   EstimatorService svc(options);
 
   std::vector<std::future<Status>> created;
@@ -282,17 +275,18 @@ int Main(int argc, char** argv) {
       bench::FlagValue(argc, argv, "--scrape-interval-ms", 200);
   const std::string flight_dump =
       bench::FlagString(argc, argv, "--flight-dump");
+  obs::Observer observe = bench::Observe();
   std::unique_ptr<obs::MetricsRegistry> local_registry;
-  obs::MetricsRegistry* registry = bench::Metrics();
-  if (registry == nullptr && !scrape_out.empty()) {
+  if (observe.metrics == nullptr && !scrape_out.empty()) {
     local_registry = std::make_unique<obs::MetricsRegistry>();
-    registry = local_registry.get();
+    observe.metrics = local_registry.get();
   }
+  obs::MetricsRegistry* const registry = observe.metrics;
   // Attached only when a dump is requested: the ring's wait-free Record()
   // is cheap but not free, and the headline pairs/sec must track the
   // telemetry-off configuration committed in BENCH_baseline.json.
   obs::FlightRecorder flight(1024);
-  obs::FlightRecorder* flight_ptr = flight_dump.empty() ? nullptr : &flight;
+  if (!flight_dump.empty()) observe.flight = &flight;
 
   // Accuracy-vs-guarantee: one observer per estimator kind, fed the driver
   // reference estimate of each graph variant (the service is verified
@@ -338,8 +332,7 @@ int Main(int argc, char** argv) {
   // they get proportionally more reps (same total sampling time per point).
   const int reps = std::max(1, bench::FlagValue(argc, argv, "--reps", 1));
 
-  obs::TraceSession* trace = bench::TraceSpans();
-  obs::Profiler* prof = bench::Prof();
+  obs::Profiler* const prof = observe.prof;
 
   std::size_t total_mismatches = 0;
   for (int shards : shard_counts) {
@@ -352,13 +345,9 @@ int Main(int argc, char** argv) {
                           streams);
       const obs::ProfCounters drain_before = DrainTotals(prof);
       int reps_run = 1;
-      SweepPoint p =
-          RunConfig(templates, streams, shards, registry, flight_ptr, trace,
-                    prof);
+      SweepPoint p = RunConfig(templates, streams, shards, observe);
       for (int r = 1; r < point_reps; ++r) {
-        SweepPoint q =
-            RunConfig(templates, streams, shards, registry, flight_ptr,
-                      trace, prof);
+        SweepPoint q = RunConfig(templates, streams, shards, observe);
         total_mismatches += q.mismatches;
         ++reps_run;
         if (q.wall_seconds < p.wall_seconds) p = q;

@@ -74,6 +74,7 @@
 #include "obs/logger.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
 #include "obs/prof.h"
 #include "obs/space_tracer.h"
 #include "obs/trace.h"
@@ -224,6 +225,9 @@ class Observability {
     if (registry_ != nullptr) {
       obs::SetBuildInfoGauge(registry_.get());
     }
+    observer_.metrics = registry_.get();
+    observer_.trace = trace_session_.get();
+    observer_.prof = profiler_.get();
     if (!enabled()) return;
     obs::Json run = obs::MakeRecord("run");
     run.Set("bench", obs::Json(BenchName(argc, argv)));
@@ -242,14 +246,10 @@ class Observability {
     return metrics_writer_.has_value() || trace_writer_.has_value();
   }
 
-  /// The run's metrics registry, or null when --metrics-out is off.
-  obs::MetricsRegistry* registry() { return registry_.get(); }
-
-  /// The run's execution-span session, or null when --chrome-trace is off.
-  obs::TraceSession* trace_session() { return trace_session_.get(); }
-
-  /// The run's hardware-counter profiler, or null when --prof is off.
-  obs::Profiler* profiler() { return profiler_.get(); }
+  /// The run's telemetry sinks: the metrics registry (--metrics-out), the
+  /// span session (--chrome-trace), the profiler (--prof), each null when
+  /// its flag is off, and the global logger. No flight recorder.
+  const obs::Observer& observer() const { return observer_; }
 
   /// batch / curve_point / slope / metrics records: metrics manifest only.
   void WriteMetricsRecord(const obs::Json& record) {
@@ -272,18 +272,7 @@ class Observability {
       // path: one `prof` manifest record per scope, and prof.* gauges in
       // the registry (which the metrics record below then snapshots).
       if (registry_ != nullptr) profiler_->ExportMetrics(registry_.get());
-      for (const auto& [scope, agg] : profiler_->Read()) {
-        obs::Json record = obs::MakeRecord("prof");
-        record.Set("scope", obs::Json(scope));
-        record.Set("backend",
-                   obs::Json(obs::ProfBackendName(profiler_->backend())));
-        record.Set("fallback", obs::Json(profiler_->fallback()));
-        record.Set("count", obs::Json(agg.count));
-        const obs::Json totals = agg.totals.ToJson();
-        for (const auto& [key, value] : totals.items()) {
-          record.Set(key, value);
-        }
-        record.Set("ipc", obs::Json(agg.totals.Ipc()));
+      for (const obs::Json& record : obs::ProfRecords(*profiler_)) {
         WriteMetricsRecord(record);
       }
     }
@@ -342,6 +331,9 @@ class Observability {
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::TraceSession> trace_session_;
   std::unique_ptr<obs::Profiler> profiler_;
+  // Always carries the logger: a disabled level costs one branch at the
+  // driver's per-pass (not per-pair) log site.
+  obs::Observer observer_{.logger = &obs::Logger::Global()};
   std::string chrome_trace_path_;
   bool finished_ = false;
 };
@@ -394,10 +386,25 @@ inline runtime::TrialRunner& Runner() {
   return *internal::RunnerSlot();
 }
 
+/// The run's telemetry sinks, handed whole to the driver, the trial runner
+/// and the service. `metrics` is null unless --metrics-out (benches bind
+/// accuracy observers and extra counters there so they land in the
+/// metrics snapshot and any Prometheus scrape), `trace` unless
+/// --chrome-trace, `prof` unless --prof (benches may open extra scopes on
+/// it); `logger` is the global logger; `flight` is always null.
+inline const obs::Observer& Observe() {
+  return internal::Observability::Get().observer();
+}
+
+/// A bench-phase span on the run's Chrome trace (inert when off).
+inline obs::TraceSession::Span Phase(const std::string& name) {
+  return obs::TraceSession::Begin(Observe().trace, name, "bench");
+}
+
 /// Per-trial context handed to RunBatch's trial function. `tracer` is
 /// non-null only for the batch's traced trial (trial 0, single-writer);
-/// `Run` routes a driver call through it plus the run's metrics registry,
-/// so a trial body reads identically traced or untraced:
+/// `Run` routes a driver call through it plus the run's observer, so a
+/// trial body reads identically traced or untraced:
 ///
 ///   bench::RunBatch("label", trials, seed, [&](const bench::TrialCtx& ctx) {
 ///     core::SomeCounter algo(...);
@@ -411,7 +418,6 @@ struct TrialCtx {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   obs::SpaceTracer* tracer = nullptr;
-  obs::TraceSession* spans = nullptr;
 
   /// AlgoT is deduced: every bench passes a concrete (final) estimator
   /// pointer, so the whole driver path devirtualizes (one OnListBatch call
@@ -419,15 +425,7 @@ struct TrialCtx {
   /// bit-identical.
   template <typename StreamT, typename AlgoT>
   stream::RunReport Run(const StreamT& s, AlgoT* algo) const {
-    stream::TraceOptions trace;
-    trace.tracer = tracer;
-    trace.metrics = internal::Observability::Get().registry();
-    trace.spans = spans;
-    trace.prof = internal::Observability::Get().profiler();
-    // Always wired: a disabled level costs one branch inside the driver's
-    // per-pass (not per-pair) log site.
-    trace.logger = &obs::Logger::Global();
-    return stream::RunPasses(s, algo, trace);
+    return stream::RunPasses(s, algo, Observe(), tracer);
   }
 
   /// Packs a driver report into the trial's result slots.
@@ -453,17 +451,15 @@ inline std::vector<runtime::TrialResult> RunBatch(
   internal::Observability& ob = internal::Observability::Get();
   obs::SpaceTracer tracer;
   obs::SpaceTracer* traced = ob.enabled() ? &tracer : nullptr;
-  obs::TraceSession* spans = ob.trace_session();
-  auto batch_span = obs::TraceSession::Begin(spans, "batch " + label, "bench");
+  auto batch_span = Phase("batch " + label);
   batch_span.SetArg("trials", obs::Json(trials));
   std::vector<runtime::TrialTiming> timings;
   std::vector<runtime::TrialResult> results = Runner().Run(
       trials, base_seed,
-      [&fn, traced, spans](std::size_t i, std::uint64_t seed) {
-        TrialCtx ctx{i, seed, i == 0 ? traced : nullptr, spans};
-        return fn(ctx);
+      [&fn, traced](std::size_t i, std::uint64_t seed) {
+        return fn(TrialCtx{i, seed, i == 0 ? traced : nullptr});
       },
-      &timings, spans, ob.profiler());
+      &timings, ob.observer());
   batch_span.End();
   if (!ob.enabled()) return results;
 
@@ -501,7 +497,7 @@ inline std::vector<runtime::TrialResult> RunBatch(
     ob.WriteTimelineRecord(timeline);
   }
 
-  if (obs::MetricsRegistry* registry = ob.registry()) {
+  if (obs::MetricsRegistry* registry = ob.observer().metrics) {
     static const std::vector<double> kSecondsBounds = {
         1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
     obs::Histogram wall =
@@ -577,13 +573,6 @@ inline double LogLogSlope(const std::vector<double>& x,
   return denom == 0 ? 0.0 : (n * sxy - sx * sy) / denom;
 }
 
-/// The run's metrics registry (null when --metrics-out is off). Benches
-/// bind accuracy observers and extra counters here so they land in the
-/// metrics snapshot and any Prometheus scrape.
-inline obs::MetricsRegistry* Metrics() {
-  return internal::Observability::Get().registry();
-}
-
 /// Records an estimator's accuracy-vs-guarantee summary (obs/accuracy.h:
 /// per-trial relative error against the predicted (epsilon, delta) band)
 /// as an "accuracy" manifest record with the observer's ToJson fields
@@ -599,23 +588,6 @@ inline void RecordAccuracy(const obs::AccuracyObserver& observer) {
     record.Set(key, value);
   }
   internal::Observability::Get().WriteMetricsRecord(record);
-}
-
-/// The run's Chrome-trace session (null when --chrome-trace is off) and a
-/// convenience for bench-phase spans around it.
-inline obs::TraceSession* TraceSpans() {
-  return internal::Observability::Get().trace_session();
-}
-
-inline obs::TraceSession::Span Phase(const std::string& name) {
-  return obs::TraceSession::Begin(TraceSpans(), name, "bench");
-}
-
-/// The run's hardware-counter profiler (null when --prof is off). Benches
-/// open extra scopes on it for phases they want attributed beyond the
-/// driver's per-pass and the runtime's per-trial scopes.
-inline obs::Profiler* Prof() {
-  return internal::Observability::Get().profiler();
 }
 
 /// Records the least-squares log-log exponent fit of a measured space

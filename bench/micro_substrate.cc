@@ -458,25 +458,6 @@ void WriteProfCurves(obs::ManifestWriter& writer, obs::Profiler* prof) {
   }
 }
 
-// One `prof` manifest record per scope aggregate (same shape as the
-// bench_util emitter, so bench_report.py validates both the same way).
-void WriteProfRecords(obs::ManifestWriter& writer, obs::Profiler* prof) {
-  if (prof == nullptr) return;
-  for (const auto& [scope, agg] : prof->Read()) {
-    obs::Json record = obs::MakeRecord("prof");
-    record.Set("scope", obs::Json(scope));
-    record.Set("backend", obs::Json(obs::ProfBackendName(prof->backend())));
-    record.Set("fallback", obs::Json(prof->fallback()));
-    record.Set("count", obs::Json(agg.count));
-    const obs::Json totals = agg.totals.ToJson();
-    for (const auto& [key, value] : totals.items()) {
-      record.Set(key, value);
-    }
-    record.Set("ipc", obs::Json(agg.totals.Ipc()));
-    writer.Write(record);
-  }
-}
-
 }  // namespace
 }  // namespace cyclestream
 
@@ -575,7 +556,9 @@ int main(int argc, char** argv) {
           obs::TraceSession::Begin(spans.get(), "prof-curves", "bench");
       WriteProfCurves(*writer, prof.get());
       prof_span.End();
-      WriteProfRecords(*writer, prof.get());
+      for (const obs::Json& record : obs::ProfRecords(*prof)) {
+        writer->Write(record);
+      }
       prof->ExportMetrics(&MicroRegistry());
       obs::SetBuildInfoGauge(&MicroRegistry());
     }

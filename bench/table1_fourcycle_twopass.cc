@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   // O(1)-factor guarantee encoded as a relative-error band: estimates
   // within kFactor of T have |est - T| / T <= kFactor - 1, at the same 80%
   // success target MinimalSample searched for.
-  obs::AccuracyObserver accuracy(bench::Metrics(), "two_pass_four_cycle",
+  obs::AccuracyObserver accuracy(bench::Observe().metrics, "two_pass_four_cycle",
                                  obs::AccuracyBand{kFactor - 1.0, 0.2});
 
   std::vector<std::size_t> block_sizes = {6, 9, 13, 19};  // T = C(c,2)^2

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   // Trials at the minimal sample feed the accuracy-vs-guarantee observer:
   // the empirical band is (eps, delta) = (0.25, 0.2), matching the 80%
   // success target MinimalSample searched for.
-  obs::AccuracyObserver accuracy(bench::Metrics(), "two_pass_triangle",
+  obs::AccuracyObserver accuracy(bench::Observe().metrics, "two_pass_triangle",
                                  obs::AccuracyBand{kEps, 0.2});
 
   std::vector<std::size_t> clique_sizes = {20, 32, 50, 80};

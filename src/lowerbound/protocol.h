@@ -12,8 +12,9 @@
 // Delivery goes through a `stream::StreamSession`, the pass/list state
 // machine the driver and the service run on, so protocol runs get the same
 // metering, the same batch fast path (one devirtualized OnListBatch per
-// list when given a concrete algorithm), and the same optional TraceOptions
-// instrumentation as `stream::RunPasses`. One difference is the protocol's
+// list when given a concrete algorithm), and the same optional
+// `obs::Observer` + `obs::SpaceTracer` instrumentation as
+// `stream::RunPasses`. One difference is the protocol's
 // own: space is sampled at list boundaries only, with no extra sample after
 // EndPass (messages between passes are read directly).
 
@@ -98,12 +99,13 @@ inline std::vector<std::pair<std::size_t, std::size_t>> PlayerSegments(
 /// concrete algorithm afterwards. Like `stream::RunPasses`, `AlgoT` is
 /// deduced: a concrete algorithm pointer takes the devirtualized batch path,
 /// a `stream::StreamAlgorithm*` the virtual one — bit-identical results.
-/// `trace` instruments the run exactly as in the driver (space timeline plus
-/// "driver.*" counters).
+/// `observe` and `space` instrument the run exactly as in the driver (pass
+/// spans, per-pass logs and prof scopes, "driver.*" counters, space
+/// timeline).
 template <typename AlgoT>
 ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
-                        std::uint64_t seed,
-                        const stream::TraceOptions& trace = {}) {
+                        std::uint64_t seed, const obs::Observer& observe = {},
+                        obs::SpaceTracer* space = nullptr) {
   CYCLESTREAM_CHECK(algorithm != nullptr);
   stream::AdjacencyListStream protocol_stream =
       MakeProtocolStream(gadget, seed);
@@ -111,7 +113,7 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
 
   ProtocolRun run;
   const auto segments = internal::PlayerSegments(gadget, order);
-  stream::StreamSession<AlgoT> session(algorithm, trace);
+  stream::StreamSession<AlgoT> session(algorithm, observe, space);
   while (!session.finished()) {
     session.BeginPass();
     for (const auto& [begin, end] : segments) {
@@ -132,7 +134,7 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
     }
   }
   internal::FinishProtocolRun(session.report(), &run);
-  stream::internal::ExportDriverMetrics(session.report(), trace.metrics);
+  stream::internal::ExportDriverMetrics(session.report(), observe.metrics);
   return run;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/manifest.h"
 #include "runtime/thread_pool.h"
 
 namespace cyclestream {
@@ -168,15 +169,7 @@ std::string PrometheusText(const Snapshot& snapshot) {
 
 Status WritePrometheusText(const Snapshot& snapshot,
                            const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::NotFound("exposition: cannot open '" + path +
-                            "' for writing");
-  }
-  const std::string text = PrometheusText(snapshot);
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  return Status::Ok();
+  return WriteTextFile(path, PrometheusText(snapshot));
 }
 
 PeriodicScraper::PeriodicScraper(runtime::ThreadPool* pool,
@@ -223,15 +216,11 @@ void PeriodicScraper::Stop() {
 void PeriodicScraper::WriteOnce() {
   const auto start = std::chrono::steady_clock::now();
   const std::string text = scrape_();
-  // Temp-file + rename so a concurrent reader never sees a torn scrape.
+  // Temp-file + rename so a concurrent reader never sees a torn scrape; a
+  // failed temp write is an error and is never renamed into place.
   const std::string tmp = path_ + ".tmp";
-  bool ok = false;
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file != nullptr) {
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    ok = std::rename(tmp.c_str(), path_.c_str()) == 0;
-  }
+  const bool ok = WriteTextFile(tmp, text).ok() &&
+                  std::rename(tmp.c_str(), path_.c_str()) == 0;
   if (ok) scrapes_.fetch_add(1, std::memory_order_relaxed);
   if (self_metrics_) {
     scrape_seconds_.Observe(

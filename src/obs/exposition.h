@@ -40,8 +40,9 @@ namespace obs {
 /// 0.0.4). Deterministic: metrics appear in name-sorted order.
 std::string PrometheusText(const Snapshot& snapshot);
 
-/// Writes PrometheusText(snapshot) to `path` (truncating). NotFound-style
-/// Status when the file cannot be opened.
+/// Writes PrometheusText(snapshot) to `path` (truncating) via
+/// WriteTextFile (obs/manifest.h): NotFound when the file cannot be
+/// opened, DataLoss when the write or close fails.
 Status WritePrometheusText(const Snapshot& snapshot, const std::string& path);
 
 /// Periodically renders a scrape to a file from a `runtime::ThreadPool`
@@ -60,8 +61,8 @@ class PeriodicScraper {
   /// `self_metrics` (optional) makes the scraper observe itself into the
   /// registry it typically scrapes: `scraper.scrape_seconds` (histogram
   /// of render+write duration), `scraper.scrapes` and `scraper.errors`
-  /// (counters; an error is a failed temp-file open or rename, which was
-  /// previously silent). Self-samples recorded during scrape N appear in
+  /// (counters; an error is a failed temp-file open, write or close —
+  /// which skips the rename — or a failed rename). Self-samples recorded during scrape N appear in
   /// scrape N+1 — the registry read happens inside `scrape()`.
   PeriodicScraper(runtime::ThreadPool* pool,
                   std::function<std::string()> scrape, std::string path,

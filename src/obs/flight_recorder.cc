@@ -1,11 +1,11 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
 
 #include "obs/json.h"
+#include "obs/manifest.h"
 
 namespace cyclestream {
 namespace obs {
@@ -152,15 +152,7 @@ std::string FlightRecorder::DumpText() const {
 }
 
 Status FlightRecorder::WriteTo(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::NotFound("flight recorder: cannot open '" + path +
-                            "' for writing");
-  }
-  const std::string text = DumpText();
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  return Status::Ok();
+  return WriteTextFile(path, DumpText());
 }
 
 Status FlightRecorder::DumpToEnvPath() const {

@@ -91,8 +91,9 @@ class FlightRecorder {
   ///  "thread":..}
   std::string DumpText() const;
 
-  /// Writes DumpText() to `path`. NotFound-style Status when the file
-  /// cannot be opened.
+  /// Writes DumpText() to `path` via WriteTextFile (obs/manifest.h):
+  /// NotFound when the file cannot be opened, DataLoss when the write or
+  /// close fails.
   Status WriteTo(const std::string& path) const;
 
   /// Writes the dump to the path named by the `CYCLESTREAM_FLIGHT_DUMP`

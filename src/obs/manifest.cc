@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/prof.h"
+
 namespace cyclestream {
 namespace obs {
 
@@ -50,11 +52,41 @@ void ManifestWriter::Write(const Json& record) {
   ++records_written_;
 }
 
+Status WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    return Status::NotFound("cannot open '" + path + "' for writing");
+  }
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  const bool closed = std::fclose(file) == 0;
+  if (!written || !closed) {
+    return Status::DataLoss("failed writing '" + path + "'");
+  }
+  return Status::Ok();
+}
+
 Json MakeRecord(std::string_view type) {
   Json record = Json::Object();
   record.Set("record", Json(std::string(type)));
   record.Set("schema_version", Json(kManifestSchemaVersion));
   return record;
+}
+
+std::vector<Json> ProfRecords(const Profiler& prof) {
+  std::vector<Json> records;
+  for (const auto& [scope, agg] : prof.Read()) {
+    Json record = MakeRecord("prof");
+    record.Set("scope", Json(scope));
+    record.Set("backend", Json(ProfBackendName(prof.backend())));
+    record.Set("fallback", Json(prof.fallback()));
+    record.Set("count", Json(agg.count));
+    const Json totals = agg.totals.ToJson();
+    for (const auto& [key, value] : totals.items()) record.Set(key, value);
+    record.Set("ipc", Json(agg.totals.Ipc()));
+    records.push_back(std::move(record));
+  }
+  return records;
 }
 
 }  // namespace obs

@@ -35,12 +35,16 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/json.h"
 #include "util/status.h"
 
 namespace cyclestream {
 namespace obs {
+
+class Profiler;
 
 /// Bump when record shapes change incompatibly; bench_report.py validates
 /// against this.
@@ -79,9 +83,18 @@ class ManifestWriter {
   std::size_t records_written_ = 0;
 };
 
+/// Writes `text` to `path` as a whole file (truncating). NotFound when the
+/// file cannot be opened; DataLoss when the write comes up short or the
+/// close fails (a full disk), so a truncated file never reads as written.
+Status WriteTextFile(const std::string& path, std::string_view text);
+
 /// Record constructors. Each returns an object with "record" and
 /// "schema_version" set; callers Set() additional fields before writing.
 Json MakeRecord(std::string_view type);
+
+/// The `prof` records of `prof`: one per scope aggregate, in scope-name
+/// order.
+std::vector<Json> ProfRecords(const Profiler& prof);
 
 }  // namespace obs
 }  // namespace cyclestream

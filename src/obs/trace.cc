@@ -1,8 +1,9 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <cstdio>
 #include <utility>
+
+#include "obs/manifest.h"
 
 namespace cyclestream {
 namespace obs {
@@ -155,15 +156,7 @@ Json TraceSession::ToJson() const {
 }
 
 Status TraceSession::WriteTo(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::NotFound("trace: cannot open '" + path + "' for writing");
-  }
-  const std::string text = ToJson().Dump();
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  return Status::Ok();
+  return WriteTextFile(path, ToJson().Dump() + "\n");
 }
 
 }  // namespace obs

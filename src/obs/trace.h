@@ -9,9 +9,11 @@
 // per thread, so traces stay readable regardless of OS thread ids.
 //
 // Span taxonomy (categories):
-//   pass     — one streaming pass of one algorithm (driver MeteredSink)
-//   list     — a strided window of adjacency lists within a pass
-//   validate — validator work on one list batch (ValidatedSink)
+//   pass     — one streaming pass of one algorithm (stream::StreamSession)
+//   list     — a strided window of adjacency lists within a pass (the
+//              session)
+//   validate — contract work on one list batch, once per list window
+//              (the driver's internal::SessionSink, checked runs)
 //   trial    — one trial body on a ThreadPool worker (runtime)
 //   bench    — a bench phase (setup, batch label, report emission)
 //
@@ -147,8 +149,9 @@ class TraceSession {
   /// events (ts/dur in microseconds) plus a process_name metadata event.
   Json ToJson() const;
 
-  /// Serializes ToJson() to `path`. NotFound-style Status when the file
-  /// cannot be opened.
+  /// Serializes ToJson() to `path` via WriteTextFile (obs/manifest.h):
+  /// NotFound when the file cannot be opened, DataLoss when the write or
+  /// close fails.
   Status WriteTo(const std::string& path) const;
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/prof.h"
+#include "obs/trace.h"
 #include "util/random.h"
 
 namespace cyclestream {
@@ -33,8 +35,7 @@ int TrialRunner::num_threads() const {
 
 std::vector<TrialResult> TrialRunner::Run(
     std::size_t num_trials, std::uint64_t base_seed, const TrialFn& fn,
-    std::vector<TrialTiming>* timings, obs::TraceSession* spans,
-    obs::Profiler* prof) const {
+    std::vector<TrialTiming>* timings, const obs::Observer& observe) const {
   if (timings != nullptr) {
     timings->assign(num_trials, TrialTiming{});
   }
@@ -45,22 +46,22 @@ std::vector<TrialResult> TrialRunner::Run(
   const bool inline_run = pool_ == nullptr || num_trials <= 1;
   return Map<TrialResult>(
       num_trials, base_seed,
-      [&fn, timings, submit, inline_run, spans, prof](std::size_t i,
-                                                      std::uint64_t seed) {
+      [&fn, &observe, timings, submit, inline_run](std::size_t i,
+                                                   std::uint64_t seed) {
         obs::TraceSession::Span span;
-        if (spans != nullptr) {
+        if (observe.trace != nullptr) {
           // Name the lane so Perfetto shows "trial-worker-N" instead of a
           // bare lane id (idempotent; "main" for inline runs).
-          spans->SetThreadName(
+          observe.trace->SetThreadName(
               inline_run ? "main"
                          : "trial-worker-" +
                                std::to_string(
                                    obs::TraceSession::CurrentLane()));
           span = obs::TraceSession::Begin(
-              spans, "trial " + std::to_string(i), "trial");
+              observe.trace, "trial " + std::to_string(i), "trial");
         }
         obs::ProfScope prof_scope =
-            obs::Profiler::Begin(prof, "runtime.trial");
+            obs::Profiler::Begin(observe.prof, "runtime.trial");
         const auto start = std::chrono::steady_clock::now();
         TrialResult result = fn(i, seed);
         prof_scope.End();

@@ -28,8 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "obs/prof.h"
-#include "obs/trace.h"
+#include "obs/observer.h"
 #include "runtime/thread_pool.h"
 
 namespace cyclestream {
@@ -93,17 +92,17 @@ class TrialRunner {
   /// Runs `fn(i, TrialSeed(base_seed, i))` for i in [0, num_trials) and
   /// returns the results in trial order. If `timings` is non-null it is
   /// resized to num_trials and timings[i] receives trial i's wall time and
-  /// queue wait; if `spans` is non-null every trial body is wrapped in a
-  /// "trial" execution span on its worker's lane; if `prof` is non-null
-  /// every trial body runs under a "runtime.trial" ProfScope, so the
-  /// pool workers' hardware-counter spend lands in the profiler's
-  /// aggregates (per-thread counter sets open lazily per worker). The
-  /// results themselves are identical either way.
+  /// queue wait. Of `observe`'s sinks the runner uses two: with a trace
+  /// session every trial body is wrapped in a "trial" execution span on
+  /// its worker's lane; with a profiler every trial body runs under a
+  /// "runtime.trial" ProfScope, so the pool workers' hardware-counter
+  /// spend lands in the profiler's aggregates (per-thread counter sets
+  /// open lazily per worker). The results themselves are identical either
+  /// way.
   std::vector<TrialResult> Run(std::size_t num_trials, std::uint64_t base_seed,
                                const TrialFn& fn,
                                std::vector<TrialTiming>* timings = nullptr,
-                               obs::TraceSession* spans = nullptr,
-                               obs::Profiler* prof = nullptr) const;
+                               const obs::Observer& observe = {}) const;
 
   /// Generic deterministic map: out[i] = fn(i, TrialSeed(base_seed, i)).
   /// `R` must be default-constructible and move-assignable. Exceptions from

@@ -101,12 +101,9 @@ struct EstimatorService::Shard {
 
 EstimatorService::EstimatorService(const ServiceOptions& options)
     : drain_budget_(std::max<std::size_t>(options.drain_budget, 1)),
-      metrics_(options.metrics),
-      flight_(options.flight),
-      trace_(options.trace),
-      prof_(options.prof),
+      observe_(options.observe),
       trace_salt_(NextServiceSalt()),
-      log_(options.logger, "service"),
+      log_(options.observe.logger, "service"),
       pool_(options.threads > 0 ? options.threads
                                 : std::max(options.shards, 1)) {
   const int shards = std::max(options.shards, 1);
@@ -114,39 +111,41 @@ EstimatorService::EstimatorService(const ServiceOptions& options)
   for (int i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = static_cast<std::size_t>(i);
-    if (metrics_ != nullptr) {
+    if (observe_.metrics != nullptr) {
       // Error latches and drops carry a per-shard label suffix so a scrape
       // can localize a failing shard; high-rate data-path counters stay
       // unlabeled (one merged series).
       const std::string by_shard = "/shard=" + std::to_string(i);
-      shard->ops = metrics_->GetCounter("service.ops");
-      shard->lists = metrics_->GetCounter("service.lists");
-      shard->pairs = metrics_->GetCounter("service.pairs");
-      shard->queries = metrics_->GetCounter("service.queries");
-      shard->checkpoints = metrics_->GetCounter("service.checkpoints");
-      shard->restores = metrics_->GetCounter("service.restores");
-      shard->kills = metrics_->GetCounter("service.kills");
-      shard->drains = metrics_->GetCounter("service.drains");
-      shard->dropped = metrics_->GetCounter("service.dropped_ops" + by_shard);
+      shard->ops = observe_.metrics->GetCounter("service.ops");
+      shard->lists = observe_.metrics->GetCounter("service.lists");
+      shard->pairs = observe_.metrics->GetCounter("service.pairs");
+      shard->queries = observe_.metrics->GetCounter("service.queries");
+      shard->checkpoints =
+          observe_.metrics->GetCounter("service.checkpoints");
+      shard->restores = observe_.metrics->GetCounter("service.restores");
+      shard->kills = observe_.metrics->GetCounter("service.kills");
+      shard->drains = observe_.metrics->GetCounter("service.drains");
+      shard->dropped =
+          observe_.metrics->GetCounter("service.dropped_ops" + by_shard);
       shard->errors =
-          metrics_->GetCounter("service.errors_latched" + by_shard);
+          observe_.metrics->GetCounter("service.errors_latched" + by_shard);
       // Materialize the error-class series at 0 so a clean run still
       // exposes them — operators alert on value, not absence.
       shard->dropped.Increment(0);
       shard->errors.Increment(0);
-      shard->queue_depth = metrics_->GetHistogram("service.queue_depth",
-                                                  obs::Log2Bounds(0, 20));
-      shard->latency = metrics_->GetHistogram(
+      shard->queue_depth = observe_.metrics->GetHistogram(
+          "service.queue_depth", obs::Log2Bounds(0, 20));
+      shard->latency = observe_.metrics->GetHistogram(
           "service.op_latency_seconds",
           std::vector<double>(std::begin(kLatencyBounds),
                               std::end(kLatencyBounds)));
-      shard->occupancy = metrics_->GetHistogram("service.shard_occupancy",
-                                                obs::Log2Bounds(0, 20));
-      shard->drain_seconds = metrics_->GetHistogram(
+      shard->occupancy = observe_.metrics->GetHistogram(
+          "service.shard_occupancy", obs::Log2Bounds(0, 20));
+      shard->drain_seconds = observe_.metrics->GetHistogram(
           "service.drain_batch_seconds",
           std::vector<double>(std::begin(kLatencyBounds),
                               std::end(kLatencyBounds)));
-      shard->process_seconds = metrics_->GetHistogram(
+      shard->process_seconds = observe_.metrics->GetHistogram(
           "service.op_process_seconds",
           std::vector<double>(std::begin(kLatencyBounds),
                               std::end(kLatencyBounds)));
@@ -181,7 +180,8 @@ EstimatorService::Shard& EstimatorService::ShardFor(StreamId id) {
 
 TraceContext EstimatorService::StampTrace(StreamId id) {
   TraceContext context;
-  if (trace_ == nullptr) return context;  // all-zero: data path untouched
+  // All-zero when untraced: the data path never touches the fields.
+  if (observe_.trace == nullptr) return context;
   // Stable per-stream flow id, salted per service instance so two services
   // sharing one TraceSession (e.g. a sweep) never merge their arrow
   // chains. Mix64 maps exactly one input to 0, which would read as
@@ -193,28 +193,29 @@ TraceContext EstimatorService::StampTrace(StreamId id) {
 }
 
 void EstimatorService::Enqueue(Shard& shard, Op op) {
-  if (metrics_ != nullptr || trace_ != nullptr) {
+  if (observe_.metrics != nullptr || observe_.trace != nullptr) {
     op.enqueued = std::chrono::steady_clock::now();
   }
-  if (trace_ != nullptr && op.trace.trace_id != 0) {
+  if (observe_.trace != nullptr && op.trace.trace_id != 0) {
     // Producer side of the request flow: a small slice on the caller's
     // lane with the flow anchor inside it, so the arrow starts (Create) or
     // steps (everything else) from where the client handed the op off.
-    const std::uint64_t start = trace_->NowNs();
-    trace_->EmitFlow(op.kind == OpKind::kCreate
-                         ? obs::TraceSession::FlowPhase::kStart
-                         : obs::TraceSession::FlowPhase::kStep,
-                     "stream", "service", op.trace.trace_id, start);
+    const std::uint64_t start = observe_.trace->NowNs();
+    observe_.trace->EmitFlow(op.kind == OpKind::kCreate
+                                 ? obs::TraceSession::FlowPhase::kStart
+                                 : obs::TraceSession::FlowPhase::kStep,
+                             "stream", "service", op.trace.trace_id, start);
     obs::Json args = obs::Json::Object();
     args.Set("stream", obs::Json(op.id));
     args.Set("span", obs::Json(op.trace.span_id));
-    trace_->EmitComplete(std::string("service.enqueue ") + OpName(op.kind),
-                         "service", start, trace_->NowNs(), std::move(args));
+    observe_.trace->EmitComplete(
+        std::string("service.enqueue ") + OpName(op.kind), "service", start,
+        observe_.trace->NowNs(), std::move(args));
   }
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kEnqueue,
-                    static_cast<std::uint32_t>(shard.index), op.id,
-                    static_cast<std::uint64_t>(op.kind));
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kEnqueue,
+                            static_cast<std::uint32_t>(shard.index), op.id,
+                            static_cast<std::uint64_t>(op.kind));
   }
   shard.mailbox.Push(std::move(op));
   // First producer to observe the shard unscheduled owns submitting its
@@ -239,7 +240,7 @@ void EstimatorService::Drain(std::size_t shard_index) {
       if (shard.scheduled.exchange(true, std::memory_order_acq_rel)) return;
       continue;
     }
-    if (metrics_ != nullptr) {
+    if (observe_.metrics != nullptr) {
       shard.drains.Increment();
       shard.queue_depth.Observe(static_cast<double>(batch.size()));
       shard.occupancy.Observe(static_cast<double>(shard.streams.size()));
@@ -249,10 +250,10 @@ void EstimatorService::Drain(std::size_t shard_index) {
             std::chrono::duration<double>(now - op.enqueued).count());
       }
     }
-    if (flight_ != nullptr) {
-      flight_->Record(obs::FlightEventKind::kDrain,
-                      static_cast<std::uint32_t>(shard.index), batch.size(),
-                      shard.mailbox.Empty() ? 0 : 1);
+    if (observe_.flight != nullptr) {
+      observe_.flight->Record(obs::FlightEventKind::kDrain,
+                              static_cast<std::uint32_t>(shard.index),
+                              batch.size(), shard.mailbox.Empty() ? 0 : 1);
     }
     if (log_.Enabled(obs::LogLevel::kDebug)) {
       obs::Json fields = obs::Json::Object();
@@ -264,18 +265,19 @@ void EstimatorService::Drain(std::size_t shard_index) {
       log_.Debug("drain batch", fields);
     }
     obs::TraceSession::Span drain_span;
-    if (trace_ != nullptr) {
-      drain_span = obs::TraceSession::Begin(trace_, "service.drain",
-                                            "service");
+    if (observe_.trace != nullptr) {
+      drain_span =
+          obs::TraceSession::Begin(observe_.trace, "service.drain", "service");
       drain_span.SetArg("shard",
                         obs::Json(static_cast<std::uint64_t>(shard.index)));
       drain_span.SetArg("batch",
                         obs::Json(static_cast<std::uint64_t>(batch.size())));
     }
-    obs::ProfScope drain_prof = obs::Profiler::Begin(prof_, "service.drain");
+    obs::ProfScope drain_prof =
+        obs::Profiler::Begin(observe_.prof, "service.drain");
     const auto batch_start = std::chrono::steady_clock::now();
     for (Op& op : batch) Process(shard, op);
-    if (metrics_ != nullptr) {
+    if (observe_.metrics != nullptr) {
       shard.drain_seconds.Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         batch_start)
@@ -294,26 +296,26 @@ void EstimatorService::Drain(std::size_t shard_index) {
 }
 
 void EstimatorService::Process(Shard& shard, Op& op) {
-  if (metrics_ != nullptr) shard.ops.Increment();
+  if (observe_.metrics != nullptr) shard.ops.Increment();
   obs::TraceSession::Span span;
-  if (trace_ != nullptr) {
+  if (observe_.trace != nullptr) {
     span = obs::TraceSession::Begin(
-        trace_, std::string("service.") + OpName(op.kind), "service");
+        observe_.trace, std::string("service.") + OpName(op.kind), "service");
     span.SetArg("stream", obs::Json(op.id));
     span.SetArg("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
     if (op.trace.trace_id != 0) {
       span.SetArg("span", obs::Json(op.trace.span_id));
       // Consumer side of the request flow, anchored inside this op's
       // slice. The stream's arrow chain terminates at its Query reply.
-      trace_->EmitFlow(op.kind == OpKind::kQuery
-                           ? obs::TraceSession::FlowPhase::kEnd
-                           : obs::TraceSession::FlowPhase::kStep,
-                       "stream", "service", op.trace.trace_id,
-                       trace_->NowNs());
+      observe_.trace->EmitFlow(op.kind == OpKind::kQuery
+                                   ? obs::TraceSession::FlowPhase::kEnd
+                                   : obs::TraceSession::FlowPhase::kStep,
+                               "stream", "service", op.trace.trace_id,
+                               observe_.trace->NowNs());
     }
   }
   std::chrono::steady_clock::time_point start;
-  if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
+  if (observe_.metrics != nullptr) start = std::chrono::steady_clock::now();
   switch (op.kind) {
     case OpKind::kCreate: DoCreate(shard, op); break;
     case OpKind::kList: DoList(shard, op); break;
@@ -324,7 +326,7 @@ void EstimatorService::Process(Shard& shard, Op& op) {
     case OpKind::kKill: DoKill(shard, op); break;
     case OpKind::kBarrier: op.barrier_promise->set_value(); break;
   }
-  if (metrics_ != nullptr) {
+  if (observe_.metrics != nullptr) {
     shard.process_seconds.Observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -334,7 +336,7 @@ void EstimatorService::Process(Shard& shard, Op& op) {
 
 void EstimatorService::OnErrorLatched(Shard& shard, StreamId id,
                                       const Status& error) {
-  if (metrics_ != nullptr) shard.errors.Increment();
+  if (observe_.metrics != nullptr) shard.errors.Increment();
   if (log_.Enabled(obs::LogLevel::kError)) {
     obs::Json fields = obs::Json::Object();
     fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
@@ -342,13 +344,13 @@ void EstimatorService::OnErrorLatched(Shard& shard, StreamId id,
     fields.Set("code", obs::Json(StatusCodeName(error.code())));
     log_.Error(error.message(), fields);
   }
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kError,
-                    static_cast<std::uint32_t>(shard.index), id,
-                    static_cast<std::uint64_t>(error.code()));
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kError,
+                            static_cast<std::uint32_t>(shard.index), id,
+                            static_cast<std::uint64_t>(error.code()));
     // Fatal-Status hook: dump the rings while the crash context is fresh
     // (no-op unless CYCLESTREAM_FLIGHT_DUMP names a path).
-    flight_->DumpToEnvPath();
+    observe_.flight->DumpToEnvPath();
   }
 }
 
@@ -365,9 +367,9 @@ void EstimatorService::DoCreate(Shard& shard, Op& op) {
   }
   shard.streams.emplace(op.id, StreamState(op.spec, std::move(hosted).value()))
       .first->second.session.BeginPass();
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kCreate,
-                    static_cast<std::uint32_t>(shard.index), op.id);
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kCreate,
+                            static_cast<std::uint32_t>(shard.index), op.id);
   }
   if (log_.Enabled(obs::LogLevel::kDebug)) {
     obs::Json fields = obs::Json::Object();
@@ -383,7 +385,7 @@ EstimatorService::StreamState* EstimatorService::LiveStream(
     Shard& shard, const Op& op, const char* action) {
   auto it = shard.streams.find(op.id);
   if (it == shard.streams.end()) {
-    if (metrics_ != nullptr) shard.dropped.Increment();
+    if (observe_.metrics != nullptr) shard.dropped.Increment();
     return nullptr;
   }
   StreamState& state = it->second;
@@ -402,14 +404,14 @@ void EstimatorService::DoList(Shard& shard, Op& op) {
   StreamState* state = LiveStream(shard, op, "append to");
   if (state == nullptr) return;
   state->session.ConsumeList(op.u, op.list);
-  if (metrics_ != nullptr) {
+  if (observe_.metrics != nullptr) {
     shard.lists.Increment();
     shard.pairs.Increment(op.list.size());
   }
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kList,
-                    static_cast<std::uint32_t>(shard.index), op.id,
-                    op.list.size());
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kList,
+                            static_cast<std::uint32_t>(shard.index), op.id,
+                            op.list.size());
   }
 }
 
@@ -417,31 +419,32 @@ void EstimatorService::DoEndPass(Shard& shard, Op& op) {
   StreamState* state = LiveStream(shard, op, "pass boundary on");
   if (state == nullptr) return;
   state->session.EndPass();
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kEndPass,
-                    static_cast<std::uint32_t>(shard.index), op.id,
-                    static_cast<std::uint64_t>(state->session.pass()));
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kEndPass,
+                            static_cast<std::uint32_t>(shard.index), op.id,
+                            static_cast<std::uint64_t>(state->session.pass()));
   }
   if (!state->session.finished()) state->session.BeginPass();
 }
 
 void EstimatorService::DoQuery(Shard& shard, Op& op) {
-  if (metrics_ != nullptr) shard.queries.Increment();
+  if (observe_.metrics != nullptr) shard.queries.Increment();
   auto it = shard.streams.find(op.id);
   if (it == shard.streams.end()) {
-    if (flight_ != nullptr) {
-      flight_->Record(obs::FlightEventKind::kQuery,
-                      static_cast<std::uint32_t>(shard.index), op.id, 1);
+    if (observe_.flight != nullptr) {
+      observe_.flight->Record(obs::FlightEventKind::kQuery,
+                              static_cast<std::uint32_t>(shard.index), op.id,
+                              1);
     }
     op.view_promise->set_value(
         Status::NotFound("unknown stream " + std::to_string(op.id)));
     return;
   }
   const StreamState& state = it->second;
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kQuery,
-                    static_cast<std::uint32_t>(shard.index), op.id,
-                    state.error.ok() ? 0 : 1);
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kQuery,
+                            static_cast<std::uint32_t>(shard.index), op.id,
+                            state.error.ok() ? 0 : 1);
   }
   if (!state.error.ok()) {
     op.view_promise->set_value(state.error);
@@ -458,7 +461,7 @@ void EstimatorService::DoQuery(Shard& shard, Op& op) {
 }
 
 void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
-  if (metrics_ != nullptr) shard.checkpoints.Increment();
+  if (observe_.metrics != nullptr) shard.checkpoints.Increment();
   snapshot::SnapshotWriter outer;
   outer.WriteU64(shard.streams.size());
   for (const auto& [id, state] : shard.streams) {
@@ -478,10 +481,10 @@ void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
     outer.WriteBytes(std::span<const std::uint8_t>(bytes));
   }
   std::vector<std::uint8_t> manifest = std::move(outer).Finish();
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kCheckpoint,
-                    static_cast<std::uint32_t>(shard.index),
-                    shard.streams.size(), manifest.size());
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kCheckpoint,
+                            static_cast<std::uint32_t>(shard.index),
+                            shard.streams.size(), manifest.size());
   }
   if (log_.Enabled(obs::LogLevel::kInfo)) {
     obs::Json fields = obs::Json::Object();
@@ -496,13 +499,13 @@ void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
 }
 
 void EstimatorService::DoRestore(Shard& shard, Op& op) {
-  if (metrics_ != nullptr) shard.restores.Increment();
+  if (observe_.metrics != nullptr) shard.restores.Increment();
   Status status = DoRestoreImpl(shard, op);
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kRestore,
-                    static_cast<std::uint32_t>(shard.index),
-                    status.ok() ? 1 : 0,
-                    static_cast<std::uint64_t>(status.code()));
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kRestore,
+                            static_cast<std::uint32_t>(shard.index),
+                            status.ok() ? 1 : 0,
+                            static_cast<std::uint64_t>(status.code()));
   }
   const obs::LogLevel level =
       status.ok() ? obs::LogLevel::kInfo : obs::LogLevel::kError;
@@ -589,15 +592,15 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
 }
 
 void EstimatorService::DoKill(Shard& shard, Op& op) {
-  if (metrics_ != nullptr) shard.kills.Increment();
+  if (observe_.metrics != nullptr) shard.kills.Increment();
   const std::size_t lost = shard.streams.size();
   shard.streams.clear();
-  if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kKill,
-                    static_cast<std::uint32_t>(shard.index), lost);
+  if (observe_.flight != nullptr) {
+    observe_.flight->Record(obs::FlightEventKind::kKill,
+                            static_cast<std::uint32_t>(shard.index), lost);
     // Chaos crash point: dump the rings so the post-mortem shows what the
     // killed shard was doing (no-op unless CYCLESTREAM_FLIGHT_DUMP is set).
-    flight_->DumpToEnvPath();
+    observe_.flight->DumpToEnvPath();
   }
   if (log_.Enabled(obs::LogLevel::kWarn)) {
     obs::Json fields = obs::Json::Object();
@@ -653,14 +656,24 @@ std::future<StatusOr<StreamView>> EstimatorService::Query(StreamId id) {
 
 std::future<StatusOr<std::vector<std::uint8_t>>>
 EstimatorService::CheckpointShard(int shard) {
-  CYCLESTREAM_CHECK(shard >= 0 && shard < shards());
   Op op;
   op.kind = OpKind::kCheckpoint;
   op.bytes_promise = std::make_unique<
       std::promise<StatusOr<std::vector<std::uint8_t>>>>();
   auto future = op.bytes_promise->get_future();
-  Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  if (Status bad = CheckShardIndex(shard); !bad.ok()) {
+    op.bytes_promise->set_value(std::move(bad));
+  } else {
+    Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  }
   return future;
+}
+
+Status EstimatorService::CheckShardIndex(int shard) const {
+  if (shard >= 0 && shard < shards()) return Status::Ok();
+  return Status::InvalidArgument("shard " + std::to_string(shard) +
+                                 " outside [0, " + std::to_string(shards()) +
+                                 ")");
 }
 
 std::future<std::size_t> EstimatorService::KillShard(int shard) {
@@ -675,22 +688,25 @@ std::future<std::size_t> EstimatorService::KillShard(int shard) {
 
 std::future<Status> EstimatorService::RestoreShard(
     int shard, std::vector<std::uint8_t> manifest) {
-  CYCLESTREAM_CHECK(shard >= 0 && shard < shards());
   Op op;
   op.kind = OpKind::kRestore;
   op.manifest = std::move(manifest);
   op.status_promise = std::make_unique<std::promise<Status>>();
   std::future<Status> future = op.status_promise->get_future();
-  Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  if (Status bad = CheckShardIndex(shard); !bad.ok()) {
+    op.status_promise->set_value(std::move(bad));
+  } else {
+    Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  }
   return future;
 }
 
 std::string EstimatorService::ScrapeMetrics() const {
-  if (metrics_ == nullptr) return std::string();
+  if (observe_.metrics == nullptr) return std::string();
   // Refresh the profiler's gauge surface so a scrape carries the latest
   // drain-loop hardware-counter aggregates alongside the op metrics.
-  if (prof_ != nullptr) prof_->ExportMetrics(metrics_);
-  return obs::PrometheusText(metrics_->Read());
+  if (observe_.prof != nullptr) observe_.prof->ExportMetrics(observe_.metrics);
+  return obs::PrometheusText(observe_.metrics->Read());
 }
 
 void EstimatorService::Flush() {

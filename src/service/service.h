@@ -41,9 +41,11 @@
 // every later `Query` returns — a misused stream can never return a
 // silently wrong estimate.
 //
-// Observability: with a `MetricsRegistry` attached, shards record queue
-// depth per drain, per-op mailbox latency, shard occupancy, and counters
-// for every op class (error latches and dropped ops are per-shard:
+// Observability: the service takes one `obs::Observer` (obs/observer.h)
+// in `ServiceOptions::observe` and uses all five of its sinks. With a
+// `MetricsRegistry` attached, shards record queue depth per drain, per-op
+// mailbox latency, shard occupancy, and counters for every op class
+// (error latches and dropped ops are per-shard:
 // `service.errors_latched/shard=N`). `ScrapeMetrics()` renders the whole
 // registry in Prometheus text format at any instant. An attached
 // `obs::Logger` gets structured records for control ops and latched
@@ -82,6 +84,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/logger.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -119,19 +122,11 @@ struct ServiceOptions {
   /// Max ops one drain task processes before re-queueing itself, so a hot
   /// shard cannot starve its pool-mates. Clamped to >= 1.
   std::size_t drain_budget = 1024;
-  /// Optional metrics sink (owned by the caller, must outlive the service).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional structured logger ("service" component scope; caller-owned).
-  obs::Logger* logger = nullptr;
-  /// Optional flight recorder for post-mortem event rings (caller-owned).
-  obs::FlightRecorder* flight = nullptr;
-  /// Optional Chrome-trace session: request spans + per-stream flow events
-  /// (caller-owned, must outlive the service). Null = no tracing, and the
-  /// request path costs one pointer test per op.
-  obs::TraceSession* trace = nullptr;
-  /// Optional hardware-counter profiler: each drain batch runs under a
-  /// "service.drain" ProfScope (caller-owned). Null = one branch per batch.
-  obs::Profiler* prof = nullptr;
+  /// Telemetry sinks (caller-owned, must outlive the service): shard
+  /// metrics, "service" log records, flight events, request spans and
+  /// flows, and a "service.drain" ProfScope per drain batch. Each null
+  /// sink costs one pointer test where it would be written.
+  obs::Observer observe;
 };
 
 /// Point-in-time view of one stream, returned by Query.
@@ -187,18 +182,23 @@ class EstimatorService {
 
   /// Serializes every stream of `shard` into one manifest envelope at the
   /// current batch boundary (ordered with prior ops, after them).
+  /// kInvalidArgument, with nothing enqueued, when `shard` is outside
+  /// [0, shards()).
   std::future<StatusOr<std::vector<std::uint8_t>>> CheckpointShard(int shard);
 
   /// Chaos: drops all of `shard`'s streams (a simulated crash), returning
   /// how many were lost. In-flight earlier ops still apply; later ops on
-  /// the dead streams are dropped/counted like any unknown id.
+  /// the dead streams are dropped/counted like any unknown id. A test hook
+  /// whose future carries a count, not a Status: `shard` outside
+  /// [0, shards()) CHECK-aborts.
   std::future<std::size_t> KillShard(int shard);
 
   /// Rebuilds `shard` from `manifest` (the bytes of a CheckpointShard),
   /// replacing all current streams of that shard. Typed errors for every
   /// corruption class (snapshot.h) and kFailedPrecondition for a manifest
   /// whose ids do not belong to `shard`; on error the shard keeps its
-  /// pre-restore streams untouched.
+  /// pre-restore streams untouched. kInvalidArgument, with nothing
+  /// enqueued, when `shard` is outside [0, shards()).
   std::future<Status> RestoreShard(int shard, std::vector<std::uint8_t> manifest);
 
   /// Barrier: returns once every op submitted before the call has been
@@ -213,7 +213,7 @@ class EstimatorService {
   std::string ScrapeMetrics() const;
 
   /// The attached flight recorder (null when none was configured).
-  obs::FlightRecorder* flight_recorder() const { return flight_; }
+  obs::FlightRecorder* flight_recorder() const { return observe_.flight; }
 
  private:
   struct Op;
@@ -221,6 +221,8 @@ class EstimatorService {
   struct Shard;
 
   Shard& ShardFor(StreamId id);
+  /// OK iff `shard` is in [0, shards()); kInvalidArgument otherwise.
+  Status CheckShardIndex(int shard) const;
   /// Stamps a fresh TraceContext for a request on `id` (all-zero when no
   /// trace session is attached).
   TraceContext StampTrace(StreamId id);
@@ -249,10 +251,7 @@ class EstimatorService {
   void OnErrorLatched(Shard& shard, StreamId id, const Status& error);
 
   const std::size_t drain_budget_;
-  obs::MetricsRegistry* const metrics_;
-  obs::FlightRecorder* const flight_;
-  obs::TraceSession* const trace_;
-  obs::Profiler* const prof_;
+  const obs::Observer observe_;
   const std::uint64_t trace_salt_;  // per-instance flow-id namespace
   std::atomic<std::uint64_t> next_span_id_{1};
   obs::LogScope log_;

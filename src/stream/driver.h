@@ -46,10 +46,12 @@
 // statically, a `StreamAlgorithm*` keeps them virtual, with bit-identical
 // reports and estimates either way.
 //
-// Observability: every entry point takes an optional `TraceOptions`
-// (stream/session.h). A `MetricsRegistry` additionally receives driver
-// counters — and, for checked runs, the contract's counters — when the
-// run ends.
+// Observability: every entry point takes an optional `obs::Observer`
+// (obs/observer.h) and then an optional per-run `obs::SpaceTracer`, and
+// hands both to its session (stream/session.h). The observer's
+// `MetricsRegistry` additionally receives driver counters — and, for
+// checked runs, the contract's counters — when the run ends. The driver
+// writes no flight events.
 
 #ifndef CYCLESTREAM_STREAM_DRIVER_H_
 #define CYCLESTREAM_STREAM_DRIVER_H_
@@ -64,7 +66,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/observer.h"
 #include "obs/prof.h"
+#include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
@@ -272,7 +276,8 @@ Status CheckModelAccepted(const StreamT& stream, const AlgoT* algorithm) {
 template <typename StreamT, typename AlgoT, typename ContractT,
           typename CheckpointFn = NoCheckpoint>
 CheckpointedRun RunFromStart(const StreamT& stream, AlgoT* algorithm,
-                             ContractT* contract, const TraceOptions& trace,
+                             ContractT* contract, const obs::Observer& observe,
+                             obs::SpaceTracer* space,
                              CheckpointFn* on_checkpoint = nullptr) {
   if (Status model_check = CheckModelAccepted(stream, algorithm);
       !model_check.ok()) {
@@ -282,11 +287,11 @@ CheckpointedRun RunFromStart(const StreamT& stream, AlgoT* algorithm,
   }
   // FaultInjectingStream keeps a pass cursor; a run starts from pass 0.
   if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
-  StreamSession<AlgoT> session(algorithm, trace);
+  StreamSession<AlgoT> session(algorithm, observe, space);
   SessionSink<AlgoT, ContractT, CheckpointFn> sink(&session, contract,
                                                    on_checkpoint);
   sink.BeginPass();
-  return sink.ReplayToEnd(stream, trace.metrics);
+  return sink.ReplayToEnd(stream, observe.metrics);
 }
 
 }  // namespace internal
@@ -301,9 +306,11 @@ CheckpointedRun RunFromStart(const StreamT& stream, AlgoT* algorithm,
 /// virtual path — results are bit-identical either way.
 template <typename StreamT, typename AlgoT>
 RunReport RunPasses(const StreamT& stream, AlgoT* algorithm,
-                    const TraceOptions& trace = {}) {
+                    const obs::Observer& observe = {},
+                    obs::SpaceTracer* space = nullptr) {
   CheckpointedRun run = internal::RunFromStart(
-      stream, algorithm, static_cast<internal::NoContract*>(nullptr), trace);
+      stream, algorithm, static_cast<internal::NoContract*>(nullptr), observe,
+      space);
   CYCLESTREAM_CHECK(run.status.ok());
   return std::move(run.report);
 }
@@ -316,10 +323,11 @@ RunReport RunPasses(const StreamT& stream, AlgoT* algorithm,
 template <typename StreamT, typename AlgoT>
 StatusOr<RunReport> RunPassesChecked(const StreamT& stream,
                                      AlgoT* algorithm,
-                                     const TraceOptions& trace = {}) {
+                                     const obs::Observer& observe = {},
+                                     obs::SpaceTracer* space = nullptr) {
   auto contract = MakeContractForStream(stream);
   CheckpointedRun run =
-      internal::RunFromStart(stream, algorithm, &contract, trace);
+      internal::RunFromStart(stream, algorithm, &contract, observe, space);
   if (!run.status.ok()) return run.status;
   return std::move(run.report);
 }
@@ -339,9 +347,9 @@ StatusOr<RunReport> RunPassesChecked(const StreamT& stream,
 template <typename StreamT, typename AlgoT, typename CheckpointFn>
 CheckpointedRun RunPassesCheckedWithCheckpoints(
     const StreamT& stream, AlgoT* algorithm, CheckpointFn&& on_checkpoint,
-    const TraceOptions& trace = {}) {
+    const obs::Observer& observe = {}, obs::SpaceTracer* space = nullptr) {
   auto contract = MakeContractForStream(stream);
-  return internal::RunFromStart(stream, algorithm, &contract, trace,
+  return internal::RunFromStart(stream, algorithm, &contract, observe, space,
                                 &on_checkpoint);
 }
 
@@ -363,7 +371,7 @@ template <typename StreamT, typename AlgoT>
 StatusOr<RunReport> ResumePassesChecked(
     const StreamT& stream, AlgoT* algorithm,
     std::span<const std::uint8_t> snapshot_bytes,
-    const TraceOptions& trace = {}) {
+    const obs::Observer& observe = {}, obs::SpaceTracer* space = nullptr) {
   if (Status model_check = internal::CheckModelAccepted(stream, algorithm);
       !model_check.ok()) {
     return model_check;
@@ -373,7 +381,7 @@ StatusOr<RunReport> ResumePassesChecked(
   if (!reader.ok()) return reader.status();
   const std::uint64_t resume_pass = reader->ReadU64();
   const std::uint64_t lists_done = reader->ReadU64();
-  StreamSession<AlgoT> session(algorithm, trace);
+  StreamSession<AlgoT> session(algorithm, observe, space);
   auto contract = MakeContractForStream(stream);
   Status restored = session.Restore(*reader, resume_pass, /*finished=*/false);
   if (restored.ok()) restored = contract.Restore(*reader);
@@ -396,7 +404,7 @@ StatusOr<RunReport> ResumePassesChecked(
   // The checkpoint's pass is already under way.
   session.ResumePass();
   sink.SkipLists(static_cast<std::size_t>(lists_done));
-  CheckpointedRun run = sink.ReplayToEnd(stream, trace.metrics);
+  CheckpointedRun run = sink.ReplayToEnd(stream, observe.metrics);
   if (!run.status.ok()) return run.status;
   return std::move(run.report);
 }

@@ -24,11 +24,13 @@
 // peaks plus the largest divergence seen at any sample, so self-reporting
 // bugs show up as a number (tests/space_audit_test.cc pins the slack).
 //
-// Observability (`TraceOptions`) never touches the algorithm's inputs: a
-// `SpaceTracer` receives exactly the samples the peaks are computed from,
-// so its timeline max equals `reported_peak_bytes`; a `TraceSession` gets
-// pass and strided list spans; a `Logger` one debug record per completed
-// pass; a `Profiler` per-pass hardware-counter deltas.
+// Observability never touches the algorithm's inputs. The session reads
+// three sinks of its `obs::Observer` (obs/observer.h): a `TraceSession`
+// gets pass spans and one "list" span per `kListSpanStride` lists; a
+// `Logger` one debug record per completed pass; a `Profiler` per-pass
+// hardware-counter deltas. The optional per-run `SpaceTracer` receives
+// exactly the samples the peaks are computed from, so its timeline max
+// equals `reported_peak_bytes`.
 
 #ifndef CYCLESTREAM_STREAM_SESSION_H_
 #define CYCLESTREAM_STREAM_SESSION_H_
@@ -44,7 +46,7 @@
 #include <vector>
 
 #include "obs/logger.h"
-#include "obs/metrics.h"
+#include "obs/observer.h"
 #include "obs/prof.h"
 #include "obs/space_tracer.h"
 #include "obs/trace.h"
@@ -65,8 +67,8 @@ struct PassReport {
   std::size_t audited_peak_bytes = 0;
   /// Pairs delivered in this pass.
   std::size_t pairs_processed = 0;
-  /// Hardware counters spent in this pass (all zero unless
-  /// TraceOptions::prof was set). Observability, not algorithm state:
+  /// Hardware counters spent in this pass (all zero unless the observer
+  /// has a profiler). Observability, not algorithm state:
   /// excluded from snapshot serialization, so a resumed run's counters
   /// cover only post-resume work and checkpoint bytes stay identical
   /// with profiling on or off.
@@ -97,33 +99,9 @@ struct RunReport {
   obs::ProfCounters prof;
 };
 
-/// Optional instrumentation for a session. Default-constructed ==
-/// untraced: the session's behaviour and the algorithm's inputs are
-/// identical either way.
-struct TraceOptions {
-  /// If set, receives BeginPass + a space sample at every list boundary
-  /// and at each pass end.
-  obs::SpaceTracer* tracer = nullptr;
-  /// If set, receives "driver.*" counters (and, for checked runs,
-  /// "validator.*") when the run finishes.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// If set, receives execution spans: one "pass" span per pass, one
-  /// strided "list" span per `list_span_stride` adjacency lists, and (in
-  /// checked runs) a strided "validate" span timing the validator's work
-  /// on one list per stride window.
-  obs::TraceSession* spans = nullptr;
-  /// Lists per "list" span; 1 = a span per list (hot — use on small
-  /// streams only).
-  std::size_t list_span_stride = 1024;
-  /// If set, receives structured "driver" records: one debug record per
-  /// completed pass (pass index, pairs, peak bytes). Never consulted on
-  /// the per-list path.
-  obs::Logger* logger = nullptr;
-  /// If set, every pass runs under a ProfScope named
-  /// "driver.pass/pass=N" and its hardware-counter delta lands in
-  /// PassReport::prof / RunReport::prof. One branch per pass when null.
-  obs::Profiler* prof = nullptr;
-};
+/// Adjacency lists per "list" span. The window also closes at every pass
+/// end, so a pass shorter than the stride still gets its span.
+inline constexpr std::size_t kListSpanStride = 1024;
 
 /// One algorithm's run over one stream: pass/list state machine, space
 /// sampler and report codec. Templating over the concrete algorithm type
@@ -139,12 +117,15 @@ class StreamSession {
   static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
 
  public:
-  explicit StreamSession(AlgoT* algorithm, const TraceOptions& trace = {})
+  /// `observe`'s trace, logger and prof sinks instrument the run; `space`
+  /// (single-writer, this run only) receives every space sample.
+  explicit StreamSession(AlgoT* algorithm, const obs::Observer& observe = {},
+                         obs::SpaceTracer* space = nullptr)
       : algorithm_(algorithm),
         domain_(algorithm->memory_domain()),
-        trace_(trace) {
-    trace_.list_span_stride = std::max<std::size_t>(trace.list_span_stride, 1);
-    if (trace.spans != nullptr || trace.prof != nullptr) {
+        observe_(observe),
+        space_(space) {
+    if (observe.trace != nullptr || observe.prof != nullptr) {
       scopes_ = std::make_unique<Scopes>();
     }
     report_.passes_requested = algorithm->passes();
@@ -161,7 +142,7 @@ class StreamSession {
   /// The span session when the next list opens a list-span window, else
   /// null: a checked run times one contract call per window.
   obs::TraceSession* window_spans() const {
-    return lists_in_window_ == 0 ? trace_.spans : nullptr;
+    return lists_in_window_ == 0 ? observe_.trace : nullptr;
   }
 
   /// Hands the session to another instance of the same algorithm that
@@ -187,10 +168,10 @@ class StreamSession {
   }
 
   void BeginList(VertexId u) {
-    if (trace_.spans != nullptr && lists_in_window_ == 0) {
+    if (observe_.trace != nullptr && lists_in_window_ == 0) {
       window_start_vertex_ = u;
       scopes_->list_span =
-          obs::TraceSession::Begin(trace_.spans, "lists", "list");
+          obs::TraceSession::Begin(observe_.trace, "lists", "list");
     }
     algorithm_->BeginList(u);
   }
@@ -205,8 +186,7 @@ class StreamSession {
   void EndList(VertexId u) {
     algorithm_->EndList(u);
     SampleSpace();
-    if (trace_.spans != nullptr &&
-        ++lists_in_window_ >= trace_.list_span_stride) {
+    if (observe_.trace != nullptr && ++lists_in_window_ >= kListSpanStride) {
       CloseListSpan(u);
     }
   }
@@ -225,13 +205,13 @@ class StreamSession {
     algorithm_->EndPass(pass_);
     if (sample_space) SampleSpace();
     PassReport& pass = report_.per_pass.back();
-    if (trace_.spans != nullptr) {
+    if (observe_.trace != nullptr) {
       if (lists_in_window_ != 0) CloseListSpan(window_start_vertex_);
       obs::TraceSession::Span& span = scopes_->pass_span;
       span.SetArg("pairs_processed", obs::Json(pass.pairs_processed));
       span.End();
     }
-    if (trace_.prof != nullptr) {
+    if (observe_.prof != nullptr) {
       const obs::ProfCounters delta = scopes_->pass_prof.End();
       pass.prof.Add(delta);
       report_.prof.Add(delta);
@@ -304,18 +284,18 @@ class StreamSession {
   };
 
   void OpenPass() {
-    if (trace_.tracer != nullptr) {
-      trace_.tracer->BeginPass(static_cast<std::size_t>(pass_));
+    if (space_ != nullptr) {
+      space_->BeginPass(static_cast<std::size_t>(pass_));
     }
-    if (trace_.spans != nullptr) {
+    if (observe_.trace != nullptr) {
       scopes_->pass_span = obs::TraceSession::Begin(
-          trace_.spans, "pass " + std::to_string(pass_), "pass");
+          observe_.trace, "pass " + std::to_string(pass_), "pass");
       lists_in_window_ = 0;
       window_start_vertex_ = 0;
     }
-    if (trace_.prof != nullptr) {
+    if (observe_.prof != nullptr) {
       scopes_->pass_prof = obs::Profiler::Begin(
-          trace_.prof, "driver.pass/pass=" + std::to_string(pass_));
+          observe_.prof, "driver.pass/pass=" + std::to_string(pass_));
     }
   }
 
@@ -336,8 +316,8 @@ class StreamSession {
       report_.max_divergence_bytes =
           std::max(report_.max_divergence_bytes, divergence);
     }
-    if (trace_.tracer != nullptr) {
-      trace_.tracer->Sample(pass.pairs_processed, reported, audited);
+    if (space_ != nullptr) {
+      space_->Sample(pass.pairs_processed, reported, audited);
     }
   }
 
@@ -352,7 +332,7 @@ class StreamSession {
 
   // One structured record per completed pass (debug level).
   void LogPass(const PassReport& p) const {
-    obs::Logger* logger = trace_.logger;
+    obs::Logger* logger = observe_.logger;
     if (logger == nullptr || !logger->Enabled(obs::LogLevel::kDebug)) return;
     obs::Json fields = obs::Json::Object();
     fields.Set("pass", obs::Json(static_cast<std::uint64_t>(pass_)));
@@ -365,11 +345,12 @@ class StreamSession {
 
   AlgoT* algorithm_;
   const obs::MemoryDomain* domain_;
-  TraceOptions trace_;
+  obs::Observer observe_;
+  obs::SpaceTracer* space_;
   RunReport report_;
   int pass_ = 0;
   bool finished_ = false;
-  std::unique_ptr<Scopes> scopes_;  // null unless spans or prof are on
+  std::unique_ptr<Scopes> scopes_;  // null unless trace or prof is on
   std::size_t lists_in_window_ = 0;
   VertexId window_start_vertex_ = 0;
 };

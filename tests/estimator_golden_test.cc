@@ -117,11 +117,11 @@ std::map<std::string, std::string> ComputeCells() {
         EXPECT_TRUE(hosted.ok()) << hosted.status().ToString();
         if (!hosted.ok()) continue;
         obs::SpaceTracer tracer;
-        const stream::TraceOptions trace{&tracer, nullptr};
         stream::RunReport report =
             spec.kind == EstimatorKind::kRandomOrderTriangle
-                ? stream::RunPasses(edges, hosted->algo.get(), trace)
-                : stream::RunPasses(adjacency, hosted->algo.get(), trace);
+                ? stream::RunPasses(edges, hosted->algo.get(), {}, &tracer)
+                : stream::RunPasses(adjacency, hosted->algo.get(), {},
+                                    &tracer);
         std::ostringstream record;
         record << "est=" << std::hexfloat << hosted->estimate(*hosted->algo)
                << ' ' << ReportFields(report)

@@ -17,9 +17,16 @@
 #include "core/two_pass_triangle.h"
 #include "gen/erdos_renyi.h"
 #include "graph/graph.h"
+#include "lowerbound/comm_problems.h"
+#include "lowerbound/gadget_triangle.h"
+#include "lowerbound/protocol.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/logger.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
+#include "obs/prof.h"
 #include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "runtime/trial_runner.h"
@@ -27,6 +34,7 @@
 #include "stream/driver.h"
 #include "stream/fault_injection.h"
 #include "stream/validator.h"
+#include "test_util.h"
 
 namespace cyclestream {
 namespace {
@@ -244,8 +252,7 @@ TEST(SpaceTracer, TimelineMaxMatchesReportedPeak) {
   options.seed = 7;
   core::TwoPassTriangleCounter counter(options);
   obs::SpaceTracer tracer;
-  stream::RunReport report =
-      stream::RunPasses(s, &counter, stream::TraceOptions{&tracer, nullptr});
+  stream::RunReport report = stream::RunPasses(s, &counter, {}, &tracer);
   ASSERT_EQ(tracer.timelines().size(), 2u);
   EXPECT_EQ(tracer.MaxReportedBytes(), report.reported_peak_bytes);
   // Per-pass timelines agree with the per-pass reports too.
@@ -257,24 +264,101 @@ TEST(SpaceTracer, TimelineMaxMatchesReportedPeak) {
 }
 
 TEST(Driver, TracedAndUntracedRunsAreBitIdentical) {
+  // Every Observer sink plus a space tracer vs none, on every entry point
+  // that takes them: estimates, RunReports (less the prof counters, which
+  // are observability) and checkpoint bytes must not move.
   Graph g = gen::ErdosRenyiGnp(200, 0.08, 21);
   stream::AdjacencyListStream s(&g, 13);
-  auto estimate = [&](bool traced) {
-    core::TwoPassTriangleOptions options;
-    options.sample_size = 48;
-    options.seed = 99;
-    core::TwoPassTriangleCounter counter(options);
-    obs::SpaceTracer tracer;
-    obs::MetricsRegistry registry;
-    stream::TraceOptions trace;
-    if (traced) {
-      trace.tracer = &tracer;
-      trace.metrics = &registry;
-    }
-    stream::RunPasses(s, &counter, trace);
-    return counter.Estimate();
+  const lowerbound::Gadget gadget = lowerbound::BuildThreeDisjGadget(
+      lowerbound::ThreeDisjInstance::Random(8, true, 2), 2);
+  core::TwoPassTriangleOptions options;
+  options.sample_size = 48;
+  options.seed = 99;
+
+  obs::MetricsRegistry registry;
+  obs::Logger logger(obs::LogLevel::kDebug);
+  logger.EnableStderr(false);
+  ASSERT_TRUE(logger.OpenFileSink(TempPath("observed_driver.jsonl")).ok());
+  obs::TraceSession spans;
+  obs::Profiler prof;
+  obs::FlightRecorder flight(64);
+  const obs::Observer all{&registry, &logger, &spans, &prof, &flight};
+
+  struct Outcome {
+    std::vector<double> estimates;
+    std::vector<stream::RunReport> reports;
+    std::vector<std::vector<std::uint8_t>> checkpoints;
+    std::vector<std::size_t> messages;
   };
-  EXPECT_EQ(estimate(false), estimate(true));
+  auto run_all = [&](bool observed) {
+    const obs::Observer observe = observed ? all : obs::Observer{};
+    obs::SpaceTracer tracers[5];
+    auto space = [&](int i) { return observed ? &tracers[i] : nullptr; };
+    Outcome out;
+    auto record = [&](const core::TwoPassTriangleCounter& counter,
+                      const stream::RunReport& report) {
+      out.estimates.push_back(counter.Estimate());
+      out.reports.push_back(report);
+    };
+    {
+      core::TwoPassTriangleCounter counter(options);
+      record(counter, stream::RunPasses(s, &counter, observe, space(0)));
+    }
+    {
+      core::TwoPassTriangleCounter counter(options);
+      auto report = stream::RunPassesChecked(s, &counter, observe, space(1));
+      EXPECT_TRUE(report.ok());
+      record(counter, *report);
+    }
+    {
+      core::TwoPassTriangleCounter counter(options);
+      stream::CheckpointedRun run = stream::RunPassesCheckedWithCheckpoints(
+          s, &counter,
+          [&](int, std::size_t, std::vector<std::uint8_t> bytes) {
+            out.checkpoints.push_back(std::move(bytes));
+            return stream::CheckpointAction::kContinue;
+          },
+          observe, space(2));
+      EXPECT_TRUE(run.status.ok());
+      record(counter, run.report);
+    }
+    {
+      core::TwoPassTriangleCounter counter(options);
+      auto report = stream::ResumePassesChecked(
+          s, &counter, out.checkpoints[out.checkpoints.size() / 2], observe,
+          space(3));
+      EXPECT_TRUE(report.ok());
+      record(counter, *report);
+    }
+    {
+      core::TwoPassTriangleCounter counter(options);
+      out.messages =
+          lowerbound::RunProtocol(gadget, &counter, 3, observe, space(4))
+              .message_bytes;
+      out.estimates.push_back(counter.Estimate());
+    }
+    return out;
+  };
+
+  const Outcome bare = run_all(false);
+  const Outcome observed = run_all(true);
+  EXPECT_EQ(observed.estimates, bare.estimates);
+  ASSERT_EQ(observed.reports.size(), bare.reports.size());
+  for (std::size_t i = 0; i < bare.reports.size(); ++i) {
+    SCOPED_TRACE(i);
+    testing_util::ExpectReportsEqual(observed.reports[i], bare.reports[i]);
+  }
+  ASSERT_FALSE(bare.checkpoints.empty());
+  EXPECT_EQ(observed.checkpoints, bare.checkpoints);
+  EXPECT_EQ(observed.messages, bare.messages);
+
+  // The observed side really was observed, by every sink but the flight
+  // recorder, which the driver never writes.
+  EXPECT_EQ(registry.Read().counters.at("driver.runs"), 5u);
+  EXPECT_GT(logger.records_written(), 0u);
+  EXPECT_GT(spans.event_count(), 0u);
+  EXPECT_EQ(prof.Read().count("driver.pass/pass=1"), 1u);
+  EXPECT_EQ(flight.recorded(), 0u);
 }
 
 TEST(Driver, PerPassReportsSumToTotals) {
@@ -308,7 +392,7 @@ TEST(Driver, ExportsDriverMetrics) {
   options.sample_size = 16;
   options.seed = 1;
   core::TwoPassTriangleCounter counter(options);
-  stream::RunPasses(s, &counter, stream::TraceOptions{nullptr, &registry});
+  stream::RunPasses(s, &counter, {.metrics = &registry});
   obs::Snapshot snap = registry.Read();
   EXPECT_EQ(snap.counters.at("driver.runs"), 1u);
   EXPECT_EQ(snap.counters.at("driver.passes"), 2u);
@@ -325,8 +409,8 @@ TEST(ValidatorCounters, CleanStreamCountsWorkNoViolations) {
   options.sample_size = 16;
   options.seed = 2;
   core::TwoPassTriangleCounter counter(options);
-  auto report = stream::RunPassesChecked(
-      s, &counter, stream::TraceOptions{nullptr, &registry});
+  auto report =
+      stream::RunPassesChecked(s, &counter, {.metrics = &registry});
   ASSERT_TRUE(report.ok());
   obs::Snapshot snap = registry.Read();
   EXPECT_EQ(snap.counters.at("validator.passes_checked"), 2u);
@@ -348,8 +432,8 @@ TEST(ValidatorCounters, InjectedFaultIsCountedByKind) {
   options.sample_size = 16;
   options.seed = 2;
   core::OnePassTriangleCounter counter(options);
-  auto report = stream::RunPassesChecked(
-      faulty, &counter, stream::TraceOptions{nullptr, &registry});
+  auto report =
+      stream::RunPassesChecked(faulty, &counter, {.metrics = &registry});
   EXPECT_FALSE(report.ok());
   obs::Snapshot snap = registry.Read();
   EXPECT_GE(snap.counters.at("validator.violations_total"), 1u);
@@ -595,6 +679,8 @@ TEST(TraceSession, WriteToProducesLoadableFile) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_NE(parsed->Find("traceEvents"), nullptr);
   EXPECT_EQ(parsed->Find("displayTimeUnit")->AsString(), "ms");
+  // A file that opens but cannot take the bytes is a failed write.
+  EXPECT_EQ(session.WriteTo("/dev/full").code(), StatusCode::kDataLoss);
 }
 
 TEST(TraceSession, DriverEmitsPassAndListSpans) {
@@ -605,11 +691,9 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
   options.seed = 5;
   core::TwoPassTriangleCounter counter(options);
   obs::TraceSession session;
-  stream::TraceOptions trace;
-  trace.spans = &session;
-  trace.list_span_stride = 16;
-  stream::RunPasses(s, &counter, trace);
-  // Two pass spans plus at least one strided list span per pass.
+  stream::RunPasses(s, &counter, {.trace = &session});
+  // Two pass spans plus at least one list span per pass: the list window
+  // closes at every pass end, even short of kListSpanStride lists.
   std::size_t pass_spans = 0, list_spans = 0;
   const obs::Json j = session.ToJson();
   const obs::Json* events = j.Find("traceEvents");

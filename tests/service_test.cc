@@ -274,7 +274,7 @@ TEST(ServiceBitIdentity, MeteredAndUnmeteredRunsAgree) {
   obs::MetricsRegistry metrics;
   ServiceOptions options;
   options.shards = 4;
-  options.metrics = &metrics;
+  options.observe.metrics = &metrics;
   EstimatorService svc(options);
   CreateAll(svc, work);
   FeedInterleaved(svc, work, 0, SIZE_MAX);
@@ -302,9 +302,9 @@ TEST(ServiceTracing, TracedProfiledRunIsBitIdenticalWithOneFlowPerStream) {
   obs::Profiler prof;
   ServiceOptions options;
   options.shards = 4;
-  options.metrics = &metrics;
-  options.trace = &trace;
-  options.prof = &prof;
+  options.observe.metrics = &metrics;
+  options.observe.trace = &trace;
+  options.observe.prof = &prof;
   EstimatorService svc(options);
   CreateAll(svc, work);
   FeedInterleaved(svc, work, 0, SIZE_MAX);
@@ -377,7 +377,7 @@ TEST(ServiceTracing, TwoServicesSharingOneSessionKeepFlowChainsDisjoint) {
   for (int round = 0; round < 2; ++round) {
     ServiceOptions options;
     options.shards = 2;
-    options.trace = &trace;
+    options.observe.trace = &trace;
     EstimatorService svc(options);
     EXPECT_TRUE(svc.Create(77, spec).get().ok());
     svc.Append(77, 0, {1, 2});
@@ -670,6 +670,14 @@ TEST(ServiceErrors, UnknownDuplicateAndMisusedStreams) {
   StatusOr<StreamView> still = svc.Query(1).get();
   ASSERT_FALSE(still.ok());
   EXPECT_EQ(still.status().code(), StatusCode::kFailedPrecondition);
+
+  // A shard index outside [0, shards()) is a typed error, not an abort.
+  for (int bad : {-1, svc.shards()}) {
+    EXPECT_EQ(svc.CheckpointShard(bad).get().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(svc.RestoreShard(bad, *manifest).get().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ServiceErrors, LatchedStatusShowsInScrapeCountersAndFlightDump) {
@@ -680,8 +688,8 @@ TEST(ServiceErrors, LatchedStatusShowsInScrapeCountersAndFlightDump) {
   obs::FlightRecorder flight(256);
   ServiceOptions options;
   options.shards = 2;
-  options.metrics = &metrics;
-  options.flight = &flight;
+  options.observe.metrics = &metrics;
+  options.observe.flight = &flight;
   EstimatorService svc(options);
 
   EstimatorSpec spec;

@@ -80,8 +80,8 @@ void ExpectAuditedRun(const StreamT& s, std::size_t configured_slots,
                       const MakeAlgo& make, const Extract& extract) {
   auto traced_algo = make();
   obs::SpaceTracer tracer;
-  stream::RunReport report = stream::RunPasses(
-      s, traced_algo.get(), stream::TraceOptions{&tracer, nullptr});
+  stream::RunReport report =
+      stream::RunPasses(s, traced_algo.get(), {}, &tracer);
 
   // Every estimator under audit binds its containers to a domain.
   ASSERT_NE(traced_algo->memory_domain(), nullptr);
@@ -276,8 +276,8 @@ TEST(SpaceAudit, RandomOrderTriangle) {
       ASSERT_TRUE(cut.stopped);
       core::RandomOrderTriangleCounter resumed(options);
       obs::SpaceTracer tracer;
-      StatusOr<stream::RunReport> got = stream::ResumePassesChecked(
-          s, &resumed, mid, stream::TraceOptions{&tracer, nullptr});
+      StatusOr<stream::RunReport> got =
+          stream::ResumePassesChecked(s, &resumed, mid, {}, &tracer);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ExpectWithinSlackEverywhere(tracer, options.prefix_size);
       testing_util::ExpectReportsEqual(*got, *want);

@@ -217,6 +217,8 @@ TEST(FlightRecorder, WriteToProducesFileAndDumpToEnvPathIsNoOpUnset) {
   unsetenv("CYCLESTREAM_FLIGHT_DUMP");
   EXPECT_TRUE(recorder.DumpToEnvPath().ok());
   EXPECT_FALSE(recorder.WriteTo("/nonexistent-dir/x/y.jsonl").ok());
+  // A file that opens but cannot take the bytes is a failed write too.
+  EXPECT_EQ(recorder.WriteTo("/dev/full").code(), StatusCode::kDataLoss);
 }
 
 TEST(FlightRecorder, ConcurrentWritersAndCollectorsDoNotTear) {
@@ -320,6 +322,8 @@ TEST(Exposition, WritePrometheusTextRoundTrips) {
   std::remove(path.c_str());
   EXPECT_FALSE(
       WritePrometheusText(registry.Read(), "/nonexistent-dir/x.prom").ok());
+  EXPECT_EQ(WritePrometheusText(registry.Read(), "/dev/full").code(),
+            StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------
