@@ -48,6 +48,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,7 @@ struct Template {
   std::vector<Event> events;
   double want_estimate = 0.0;
   stream::RunReport want_report;
-  std::uint64_t pairs = 0;  // total OnPair events across all passes
+  std::uint64_t pairs = 0;  // total elements across all passes
   double truth = 0.0;       // exact count of the kind's target subgraph
 };
 
@@ -143,8 +144,8 @@ std::vector<Template> BuildTemplates(std::size_t graph_n, double graph_p) {
           struct Tape {
             std::vector<Event>* events;
             void BeginList(VertexId u) { events->push_back({false, u, {}}); }
-            void OnPair(VertexId, VertexId v) {
-              events->back().list.push_back(v);
+            void OnList(VertexId, std::span<const VertexId> list) {
+              events->back().list.assign(list.begin(), list.end());
             }
             void EndList(VertexId) {}
           } tape{&t.events};

@@ -81,7 +81,9 @@ void BM_StreamReplay(benchmark::State& state) {
   struct NullSink {
     std::size_t pairs = 0;
     void BeginList(VertexId) {}
-    void OnPair(VertexId, VertexId) { ++pairs; }
+    void OnList(VertexId, std::span<const VertexId> list) {
+      pairs += list.size();
+    }
     void EndList(VertexId) {}
   };
   for (auto _ : state) {
@@ -93,10 +95,10 @@ void BM_StreamReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamReplay);
 
-// Minimal batch-capable algorithm for replay-throughput measurement: the
-// per-element sum keeps the compiler from collapsing the traversal while
-// the work per pair stays negligible, so the measured time is dispatch +
-// memory traffic — the substrate cost the batched refactor targets.
+// Minimal algorithm for replay-throughput measurement: the per-element sum
+// keeps the compiler from collapsing the traversal while the work per pair
+// stays negligible, so the measured time is dispatch + memory traffic —
+// the substrate's own cost.
 class ReplayTally final : public stream::StreamAlgorithm {
  public:
   int passes() const override { return 1; }
@@ -113,11 +115,10 @@ class ReplayTally final : public stream::StreamAlgorithm {
   std::uint64_t sum_ = 0;
 };
 
-// 20k-vertex ER graph for the replay-throughput comparison. Denser than
-// SharedGraph() (average degree 32 vs 6): the batched path's advantage is
-// per-pair dispatch eliminated, so it grows with list length, while at
-// degree 6 the per-list boundary work (BeginList/EndList, space sampling)
-// dominates both paths and compresses the ratio toward 1.
+// 20k-vertex ER graph for the replay-throughput measurement. Denser than
+// SharedGraph() (average degree 32 vs 6), so per-element work dominates
+// the per-list boundary work (BeginList/EndList, space sampling), which
+// the power-law graph's many short lists stress instead.
 const Graph& SharedReplayGraph() {
   static const Graph* g =
       new Graph(gen::ErdosRenyiGnp(20000, 32.0 / 20000, 42));
@@ -128,28 +129,8 @@ const Graph& ReplayGraph(int which) {
   return which == 0 ? SharedReplayGraph() : SharedSocialGraph();
 }
 
-// The pre-refactor cost: every pair crosses the driver's metering sink and
-// a virtual StreamAlgorithm::OnPair (AlgoT = StreamAlgorithm, PairwiseOnly
-// hides the stream's span delivery). Arg 0 = ER, Arg 1 = power-law.
-void BM_DriverReplayPairwise(benchmark::State& state) {
-  const Graph& g = ReplayGraph(static_cast<int>(state.range(0)));
-  stream::AdjacencyListStream s(&g, 3);
-  stream::PairwiseOnly<stream::AdjacencyListStream> pairwise(&s);
-  for (auto _ : state) {
-    ReplayTally tally;
-    stream::StreamAlgorithm* base = &tally;
-    stream::RunReport report = stream::RunPasses(pairwise, base);
-    benchmark::DoNotOptimize(report.pairs_processed);
-    benchmark::DoNotOptimize(tally.sum());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-}
-BENCHMARK(BM_DriverReplayPairwise)->Arg(0)->Arg(1);
-
-// The batched path: one devirtualized OnListBatch per adjacency list
-// through the same driver. Items/s over BM_DriverReplayPairwise at the
-// same Arg is the substrate speedup (CI enforces batched >= pairwise via
-// the manifest curves below).
+// The driver's replay path: one devirtualized OnListBatch per adjacency
+// list. Arg 0 = ER, Arg 1 = power-law.
 void BM_DriverReplayBatched(benchmark::State& state) {
   const Graph& g = ReplayGraph(static_cast<int>(state.range(0)));
   stream::AdjacencyListStream s(&g, 3);
@@ -167,21 +148,14 @@ BENCHMARK(BM_DriverReplayBatched)->Arg(0)->Arg(1);
 // pairs/sec over `reps` driver runs. Used post-run (not under
 // google-benchmark) so the manifest rows exist whenever --metrics-out is
 // given, regardless of --benchmark_filter.
-double MeasureReplayPairsPerSec(const Graph& g, bool batched, int reps) {
+double MeasureReplayPairsPerSec(const Graph& g, int reps) {
   stream::AdjacencyListStream s(&g, 3);
-  stream::PairwiseOnly<stream::AdjacencyListStream> pairwise(&s);
   const double pairs = static_cast<double>(2 * g.num_edges());
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     ReplayTally tally;
     const auto start = std::chrono::steady_clock::now();
-    stream::RunReport report;
-    if (batched) {
-      report = stream::RunPasses(s, &tally);
-    } else {
-      stream::StreamAlgorithm* base = &tally;
-      report = stream::RunPasses(pairwise, base);
-    }
+    stream::RunReport report = stream::RunPasses(s, &tally);
     const auto stop = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(report.pairs_processed);
     benchmark::DoNotOptimize(tally.sum());
@@ -200,14 +174,8 @@ void BM_StreamReplayValidated(benchmark::State& state) {
   stream::AdjacencyListStream s(&g, 3);
   for (auto _ : state) {
     stream::AdjacencyListContract validator(&g);
-    struct Forward {
-      stream::AdjacencyListContract* v;
-      void BeginList(VertexId u) { v->BeginList(u); }
-      void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
-      void EndList(VertexId u) { v->EndList(u); }
-    } sink{&validator};
     validator.BeginPass(0);
-    s.ReplayPass(sink);
+    s.ReplayPass(validator);
     validator.EndPass(0);
     benchmark::DoNotOptimize(validator.ok());
   }
@@ -215,14 +183,8 @@ void BM_StreamReplayValidated(benchmark::State& state) {
   // One untimed replay feeds the validator work counters surfaced in the
   // --metrics-out manifest (per-iteration export would skew the timing).
   stream::AdjacencyListContract validator(&g);
-  struct Forward {
-    stream::AdjacencyListContract* v;
-    void BeginList(VertexId u) { v->BeginList(u); }
-    void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
-    void EndList(VertexId u) { v->EndList(u); }
-  } sink{&validator};
   validator.BeginPass(0);
-  s.ReplayPass(sink);
+  s.ReplayPass(validator);
   validator.EndPass(0);
   validator.ExportMetrics(&MicroRegistry());
 }
@@ -364,26 +326,21 @@ void BM_EstimateTrianglesAmplified(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateTrianglesAmplified)->Arg(1)->Arg(4);
 
-// Replay-throughput rows for the manifest: one curve per (graph family,
-// delivery mode), a single (pairs-per-pass, pairs/sec) point each. The CI
-// smoke step (scripts/bench_report.py validate) fails the run if a
-// "<base>/batched" curve falls below its "<base>/pairwise" sibling.
+// Replay-throughput rows for the manifest: one curve per graph family, a
+// single (pairs-per-pass, pairs/sec) point each.
+struct ReplayRow {
+  const char* curve;
+  const Graph* graph;
+};
+
 void WriteReplayThroughputCurves(obs::ManifestWriter& writer) {
   constexpr int kReps = 5;
-  struct Row {
-    const char* curve;
-    const Graph* graph;
-    bool batched;
+  const ReplayRow rows[] = {
+      {"replay_throughput/er/batched", &SharedReplayGraph()},
+      {"replay_throughput/powerlaw/batched", &SharedSocialGraph()},
   };
-  const Row rows[] = {
-      {"replay_throughput/er/pairwise", &SharedReplayGraph(), false},
-      {"replay_throughput/er/batched", &SharedReplayGraph(), true},
-      {"replay_throughput/powerlaw/pairwise", &SharedSocialGraph(), false},
-      {"replay_throughput/powerlaw/batched", &SharedSocialGraph(), true},
-  };
-  for (const Row& row : rows) {
-    const double pairs_per_sec =
-        MeasureReplayPairsPerSec(*row.graph, row.batched, kReps);
+  for (const ReplayRow& row : rows) {
+    const double pairs_per_sec = MeasureReplayPairsPerSec(*row.graph, kReps);
     obs::Json point = obs::MakeRecord("curve_point");
     point.Set("curve", obs::Json(std::string(row.curve)));
     point.Set("x", obs::Json(static_cast<double>(2 * row.graph->num_edges())));
@@ -392,8 +349,8 @@ void WriteReplayThroughputCurves(obs::ManifestWriter& writer) {
   }
 }
 
-// Hardware-counter curves behind --prof: one profiled replay per (graph
-// family, delivery mode), emitted as curve_point rows so the baseline can
+// Hardware-counter curves behind --prof: one profiled replay per graph
+// family, emitted as curve_point rows so the baseline can
 // carry per-pair IPC / cache-miss curves. Per-pair task-clock is always
 // available; the hardware-derived curves (ipc, cycles, cache and branch
 // misses per pair) only exist on a real PMU — on the rusage fallback the
@@ -402,23 +359,15 @@ void WriteReplayThroughputCurves(obs::ManifestWriter& writer) {
 void WriteProfCurves(obs::ManifestWriter& writer, obs::Profiler* prof) {
   if (prof == nullptr) return;
   constexpr int kReps = 3;
-  struct Row {
-    const char* curve;
-    const Graph* graph;
-    bool batched;
-  };
-  const Row rows[] = {
-      {"prof/er/pairwise", &SharedReplayGraph(), false},
-      {"prof/er/batched", &SharedReplayGraph(), true},
-      {"prof/powerlaw/pairwise", &SharedSocialGraph(), false},
-      {"prof/powerlaw/batched", &SharedSocialGraph(), true},
+  const ReplayRow rows[] = {
+      {"prof/er/batched", &SharedReplayGraph()},
+      {"prof/powerlaw/batched", &SharedSocialGraph()},
   };
   const bool perf = prof->backend() == obs::ProfBackend::kPerfEvent;
-  for (const Row& row : rows) {
+  for (const ReplayRow& row : rows) {
     const Graph& g = *row.graph;
     const double pairs = static_cast<double>(2 * g.num_edges());
     stream::AdjacencyListStream s(&g, 3);
-    stream::PairwiseOnly<stream::AdjacencyListStream> pairwise(&s);
     // Best-of-reps, like MeasureReplayPairsPerSec: per-pair counter rates
     // are throughput-shaped, so the minimum-interference rep is the signal.
     obs::ProfCounters best;
@@ -426,13 +375,7 @@ void WriteProfCurves(obs::ManifestWriter& writer, obs::Profiler* prof) {
       obs::ProfScope scope =
           obs::Profiler::Begin(prof, std::string("micro.replay/") + row.curve);
       ReplayTally tally;
-      stream::RunReport report;
-      if (row.batched) {
-        report = stream::RunPasses(s, &tally);
-      } else {
-        stream::StreamAlgorithm* base = &tally;
-        report = stream::RunPasses(pairwise, base);
-      }
+      stream::RunReport report = stream::RunPasses(s, &tally);
       benchmark::DoNotOptimize(report.pairs_processed);
       benchmark::DoNotOptimize(tally.sum());
       const obs::ProfCounters delta = scope.End();

@@ -322,29 +322,6 @@ def check_audit(path, grouped):
     return errors
 
 
-def check_throughput_pairs(path, grouped):
-    """Batched delivery must not regress below per-pair delivery: for every
-    curve pair ``<base>/pairwise`` and ``<base>/batched`` (the replay
-    microbenchmark records one such pair per graph family), the batched
-    curve's mean y must be >= the pairwise curve's mean y."""
-    errors = []
-    for curve in sorted(grouped["curves"]):
-        if not curve.endswith("/pairwise"):
-            continue
-        base = curve[: -len("/pairwise")]
-        batched = grouped["curves"].get(base + "/batched")
-        if not batched:
-            continue
-        pairwise_mean = sum(y for _, y in grouped["curves"][curve]) / \
-            len(grouped["curves"][curve])
-        batched_mean = sum(y for _, y in batched) / len(batched)
-        if batched_mean < pairwise_mean:
-            errors.append(
-                f"{path}: curve {base!r}: batched throughput "
-                f"{batched_mean:.4g} below pairwise {pairwise_mean:.4g}")
-    return errors
-
-
 def check_driver_counters(path, grouped):
     """A run cannot complete more passes than were requested: in every
     metrics snapshot carrying both counters, driver.passes (completed) must
@@ -476,7 +453,6 @@ def cmd_validate(args):
             errors += check_fits(path, grouped)
             errors += check_audit(path, grouped)
             errors += check_timelines(path, grouped)
-            errors += check_throughput_pairs(path, grouped)
             errors += check_driver_counters(path, grouped)
             errors += check_accuracy(path, grouped)
             errors += check_prof(path, grouped)

@@ -68,7 +68,7 @@ struct EstimatorService::Op {
   std::unique_ptr<std::promise<StatusOr<StreamView>>> view_promise;
   std::unique_ptr<std::promise<StatusOr<std::vector<std::uint8_t>>>>
       bytes_promise;
-  std::unique_ptr<std::promise<std::size_t>> count_promise;
+  std::unique_ptr<std::promise<StatusOr<std::size_t>>> count_promise;
   std::unique_ptr<std::promise<void>> barrier_promise;
 };
 
@@ -676,13 +676,16 @@ Status EstimatorService::CheckShardIndex(int shard) const {
                                  ")");
 }
 
-std::future<std::size_t> EstimatorService::KillShard(int shard) {
-  CYCLESTREAM_CHECK(shard >= 0 && shard < shards());
+std::future<StatusOr<std::size_t>> EstimatorService::KillShard(int shard) {
   Op op;
   op.kind = OpKind::kKill;
-  op.count_promise = std::make_unique<std::promise<std::size_t>>();
-  std::future<std::size_t> future = op.count_promise->get_future();
-  Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  op.count_promise = std::make_unique<std::promise<StatusOr<std::size_t>>>();
+  auto future = op.count_promise->get_future();
+  if (Status bad = CheckShardIndex(shard); !bad.ok()) {
+    op.count_promise->set_value(std::move(bad));
+  } else {
+    Enqueue(*shards_[static_cast<std::size_t>(shard)], std::move(op));
+  }
   return future;
 }
 

@@ -188,10 +188,10 @@ class EstimatorService {
 
   /// Chaos: drops all of `shard`'s streams (a simulated crash), returning
   /// how many were lost. In-flight earlier ops still apply; later ops on
-  /// the dead streams are dropped/counted like any unknown id. A test hook
-  /// whose future carries a count, not a Status: `shard` outside
-  /// [0, shards()) CHECK-aborts.
-  std::future<std::size_t> KillShard(int shard);
+  /// the dead streams are dropped/counted like any unknown id.
+  /// kInvalidArgument, with nothing enqueued, when `shard` is outside
+  /// [0, shards()).
+  std::future<StatusOr<std::size_t>> KillShard(int shard);
 
   /// Rebuilds `shard` from `manifest` (the bytes of a CheckpointShard),
   /// replacing all current streams of that shard. Typed errors for every

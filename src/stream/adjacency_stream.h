@@ -6,13 +6,17 @@
 // two-pass triangle algorithm requires. The orderings are adversarially
 // controllable: callers can supply an explicit list order (the lower-bound
 // protocol simulation orders lists by player) or shuffle by seed.
+//
+// Delivery follows the model's one promise, that a list arrives in one
+// piece: every stream in src/stream speaks BeginList(u) / OnList(u, span) /
+// EndList(u) with exactly one OnList per list, so the list is the unit
+// every sink (contract, driver, recorder) consumes.
 
 #ifndef CYCLESTREAM_STREAM_ADJACENCY_STREAM_H_
 #define CYCLESTREAM_STREAM_ADJACENCY_STREAM_H_
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -51,23 +55,14 @@ class AdjacencyListStream {
   /// Neighbors of `u` in this stream's within-list order.
   std::span<const VertexId> ListOf(VertexId u) const;
 
-  /// Replays one pass, invoking `fn` like a StreamAlgorithm:
-  /// fn.BeginList(u), then the list's pairs, then fn.EndList(u).
-  ///
-  /// Two-level delivery: a sink exposing OnList(u, span) receives each
-  /// adjacency list as one contiguous span (the lists are already stored
-  /// back to back in `list_entries_`); other sinks get the per-pair
-  /// fn.OnPair(u, v) loop. Batched sinks must treat the span exactly like
-  /// the pair sequence (see stream/algorithm.h's bit-identity contract).
+  /// Replays one pass: for each list in stream order, fn.BeginList(u),
+  /// one fn.OnList(u, span) carrying the whole list (the lists are stored
+  /// back to back in `list_entries_`), then fn.EndList(u).
   template <typename Sink>
   void ReplayPass(Sink&& fn) const {
     for (VertexId u : list_order_) {
       fn.BeginList(u);
-      if constexpr (requires { fn.OnList(u, std::span<const VertexId>{}); }) {
-        fn.OnList(u, ListOf(u));
-      } else {
-        for (VertexId v : ListOf(u)) fn.OnPair(u, v);
-      }
+      fn.OnList(u, ListOf(u));
       fn.EndList(u);
     }
   }
@@ -81,50 +76,6 @@ class AdjacencyListStream {
   // Within-list orders, stored contiguously with per-vertex offsets.
   std::vector<VertexId> list_entries_;
   std::vector<std::size_t> list_offsets_;
-};
-
-/// Decorator forcing per-pair delivery: replays `stream` while hiding any
-/// OnList capability of the receiving sink, so every pair goes through the
-/// sink's OnPair path. This is the reference delivery for the bit-identity
-/// contract — batch_equivalence_test and the replay microbenchmarks compare
-/// a normal replay against a PairwiseOnly replay of the same stream.
-template <typename StreamT>
-class PairwiseOnly {
- public:
-  explicit PairwiseOnly(const StreamT* stream) : stream_(stream) {}
-
-  const Graph& graph() const { return stream_->graph(); }
-  std::size_t stream_length() const { return stream_->stream_length(); }
-
-  /// Forwards the wrapped stream's model: forcing per-pair delivery does
-  /// not change which contract applies.
-  ModelDescriptor descriptor() const { return DescriptorOf(*stream_); }
-
-  auto MakeContract() const
-    requires requires(const StreamT& s) { s.MakeContract(); }
-  {
-    return stream_->MakeContract();
-  }
-
-  void ResetPasses() const {
-    if constexpr (requires { stream_->ResetPasses(); }) {
-      stream_->ResetPasses();
-    }
-  }
-
-  template <typename Sink>
-  void ReplayPass(Sink&& fn) const {
-    struct PairShim {
-      std::remove_reference_t<Sink>* sink;
-      void BeginList(VertexId u) { sink->BeginList(u); }
-      void OnPair(VertexId u, VertexId v) { sink->OnPair(u, v); }
-      void EndList(VertexId u) { sink->EndList(u); }
-    } shim{&fn};
-    stream_->ReplayPass(shim);
-  }
-
- private:
-  const StreamT* stream_;
 };
 
 }  // namespace stream

@@ -34,18 +34,16 @@ namespace stream {
 /// Base class for algorithms consuming adjacency-list streams.
 ///
 /// Callback order per pass, for each adjacency list in stream order:
-///   BeginList(u); the list's pairs; EndList(u).
-/// Wrapped by BeginPass(p) / EndPass(p) for p = 0 .. passes()-1.
+///   BeginList(u); OnListBatch(u, list); EndList(u).
+/// Wrapped by BeginPass(p) / EndPass(p) for p = 0 .. passes()-1. On an edge
+/// stream a "list" is a u-run (stream/arbitrary_stream.h).
 ///
-/// The list's pairs arrive through one of two equivalent deliveries:
-///   - per-pair: OnPair(u, v) once per neighbor v, in list order;
-///   - batched: a single OnListBatch(u, span-of-neighbors) call.
-/// The default OnListBatch loops OnPair, so algorithms only implementing
-/// OnPair behave identically under both. Overriders must uphold the
-/// bit-identity contract: for any stream, batched delivery must leave the
-/// algorithm in exactly the state the per-pair loop would — same estimate,
-/// and same CurrentSpaceBytes() at every list boundary (which means the same
-/// container mutation sequences, since space accounting reads capacities).
+/// The session (stream/session.h) calls OnListBatch exactly once per list.
+/// The span is the whole list or, in a checked run, the contract's
+/// ok-prefix of it; a run stopped by a violation ends there. The default
+/// OnListBatch loops OnPair, the per-element step: an algorithm whose list
+/// handling is one step per element implements only that (PairDispatch
+/// below does it for every estimator here).
 class StreamAlgorithm {
  public:
   virtual ~StreamAlgorithm() = default;
@@ -73,8 +71,7 @@ class StreamAlgorithm {
   /// One stream element: the ordered pair `uv` (edge {u,v} seen from u).
   virtual void OnPair(VertexId u, VertexId v) = 0;
 
-  /// The whole adjacency list of `u` in stream order — one call replacing
-  /// list.size() OnPair calls (see the bit-identity contract above).
+  /// The adjacency list of `u` in stream order (see the class comment).
   virtual void OnListBatch(VertexId u, std::span<const VertexId> list) {
     for (VertexId v : list) OnPair(u, v);
   }
@@ -118,15 +115,13 @@ class StreamAlgorithm {
   }
 };
 
-/// CRTP mixin implementing the two-level delivery for algorithms whose
-/// batch handling is exactly "one HandlePair per element" — which is every
-/// estimator here. `Derived` implements `HandlePair(VertexId, VertexId)`
-/// (private is fine with a `friend stream::PairDispatch<Derived>;`) and the
-/// mixin provides matching OnPair/OnListBatch overrides, making the
-/// bit-identity contract between the two paths true by construction instead
-/// of by seven hand-copied loop bodies. The overrides are `final`: an
-/// algorithm with a genuinely different batch strategy should derive from
-/// StreamAlgorithm directly.
+/// CRTP mixin for algorithms whose list handling is exactly "one
+/// HandlePair per element" — which is every estimator here. `Derived`
+/// implements `HandlePair(VertexId, VertexId)` (private is fine with a
+/// `friend stream::PairDispatch<Derived>;`) and the mixin provides the
+/// OnPair/OnListBatch overrides, so the list loop binds HandlePair
+/// statically. The overrides are `final`: an algorithm with a genuinely
+/// different list strategy should derive from StreamAlgorithm directly.
 template <typename Derived>
 class PairDispatch : public StreamAlgorithm {
  public:

@@ -11,17 +11,16 @@
 // the model gap is measurable: bench/model_comparison runs matched
 // estimators over all models on the same graphs.
 //
-// Unified delivery: edge streams speak the SAME two-level event grammar as
-// AdjacencyListStream — BeginList(u) / OnPair(u, v) or OnList(u, span) /
-// EndList(u) — by grouping maximal runs of consecutive edges sharing a
+// Unified delivery: edge streams speak the SAME list grammar as
+// AdjacencyListStream — BeginList(u) / OnList(u, span) / EndList(u), one
+// OnList per list — by grouping maximal runs of consecutive edges sharing a
 // first endpoint (canonical u < v orientation) into "u-runs". A u-run is
 // packaging, not a promise: in a random permutation nearly every run has
 // length 1, so the driver's run-boundary space samples are effectively
 // per-edge, and the per-model contract (stream/contract.h) never checks
 // contiguity on these streams. The payoff is that every driver entry point,
-// sink decorator, checkpoint path, and the estimator service consume edge
-// streams with zero special-casing — the PR-4 `OnEdgeBatch` side channel is
-// gone.
+// checkpoint path, and the estimator service consume edge streams with
+// zero special-casing.
 
 #ifndef CYCLESTREAM_STREAM_ARBITRARY_STREAM_H_
 #define CYCLESTREAM_STREAM_ARBITRARY_STREAM_H_
@@ -40,7 +39,7 @@ namespace cyclestream {
 namespace stream {
 
 /// Shared substrate for the edge-order models: a fixed edge permutation
-/// replayed pass after pass through the unified two-level event grammar.
+/// replayed pass after pass through the unified list grammar.
 /// Subclasses build `order_` (and their descriptor) then call
 /// `FinalizeOrder()` once.
 class EdgeStreamBase {
@@ -66,23 +65,17 @@ class EdgeStreamBase {
   }
 
   /// Replays one pass through the unified grammar: for each u-run,
-  /// fn.BeginList(u), the run's elements as OnPair(u, v) calls — or one
-  /// OnList(u, span) when the sink supports batching — then fn.EndList(u).
-  /// Each element (u, v) is the undirected edge {u, v}, seen exactly once
-  /// per pass, with u < v.
+  /// fn.BeginList(u), one fn.OnList(u, span) of the run's second endpoints,
+  /// then fn.EndList(u). Each element (u, v) is the undirected edge {u, v},
+  /// seen exactly once per pass, with u < v.
   template <typename Sink>
   void ReplayPass(Sink&& fn) const {
     for (std::size_t run = 0; run + 1 < run_offsets_.size(); ++run) {
       const VertexId u = run_vertex_[run];
-      const std::span<const VertexId> elems(
-          run_entries_.data() + run_offsets_[run],
-          run_offsets_[run + 1] - run_offsets_[run]);
       fn.BeginList(u);
-      if constexpr (requires { fn.OnList(u, elems); }) {
-        fn.OnList(u, elems);
-      } else {
-        for (VertexId v : elems) fn.OnPair(u, v);
-      }
+      fn.OnList(u, std::span<const VertexId>(
+                       run_entries_.data() + run_offsets_[run],
+                       run_offsets_[run + 1] - run_offsets_[run]));
       fn.EndList(u);
     }
   }

@@ -50,21 +50,6 @@ void ModelContract::SetFirst(Violation v) {
   if (!violation_.has_value()) violation_ = std::move(v);
 }
 
-std::size_t ModelContract::OnList(VertexId u,
-                                  std::span<const VertexId> list) {
-  std::size_t ok_prefix = 0;
-  for (VertexId v : list) {
-    // Track where ok() flips rather than deriving the prefix from the
-    // violation's position: a contract may promote a violation recorded at
-    // an earlier position (e.g. the adjacency model's provisional
-    // missing-pair), so the position alone is not the prefix length.
-    const bool was_ok = ok();
-    OnPair(u, v);
-    if (was_ok && ok()) ++ok_prefix;
-  }
-  return ok_prefix;
-}
-
 Status ModelContract::ToStatus() const {
   if (ok()) return Status::Ok();
   const Violation& v = *violation_;
@@ -222,7 +207,10 @@ void EdgeStreamContract::BeginList(VertexId u) {
   }
 }
 
-void EdgeStreamContract::OnPair(VertexId u, VertexId v) { CheckEdge(u, v); }
+std::size_t EdgeStreamContract::OnList(VertexId u,
+                                       std::span<const VertexId> list) {
+  return CheckEach(list, [&](VertexId v) { CheckEdge(u, v); });
+}
 
 void EdgeStreamContract::CheckEdge(VertexId u, VertexId v) {
   ++counters_.events_checked;

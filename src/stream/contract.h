@@ -17,10 +17,11 @@
 //     (kPermutationDivergence). Contiguity is never checked: the u-runs an
 //     edge stream groups its elements into are packaging, not promises.
 //
-// Both contracts consume the same BeginPass/BeginList/OnPair/OnList/EndList/
-// EndPass event grammar the driver's sinks speak, record the *first*
-// violation with its stream position, tally every violation by kind, and
-// snapshot/restore their complete state for crash recovery.
+// Both contracts consume the BeginPass / BeginList / OnList / EndList /
+// EndPass grammar every stream speaks (one OnList per list, stream/
+// adjacency_stream.h), so a contract is itself a replay sink. They record
+// the *first* violation with its stream position, tally every violation by
+// kind, and snapshot/restore their complete state for crash recovery.
 
 #ifndef CYCLESTREAM_STREAM_CONTRACT_H_
 #define CYCLESTREAM_STREAM_CONTRACT_H_
@@ -94,15 +95,13 @@ class ModelContract {
   /// pass's list events; `EndPass` must close it.
   virtual void BeginPass(int pass) = 0;
   virtual void BeginList(VertexId u) = 0;
-  virtual void OnPair(VertexId u, VertexId v) = 0;
 
-  /// Batched form of `list.size()` OnPair calls: checks every element
-  /// (identical counters and violation positions to the per-pair loop; the
-  /// whole span is consumed even after a violation) and returns the number
-  /// of leading elements consumed while `ok()` still held — the prefix a
-  /// strict driver may deliver to its algorithm, matching exactly what
-  /// per-pair interleaving would have delivered.
-  virtual std::size_t OnList(VertexId u, std::span<const VertexId> list);
+  /// The elements of u's list (or u-run) in stream order. Checks every
+  /// element, one at a time (the whole span is consumed even after a
+  /// violation, so the counters cover it), and returns the ok-prefix: the
+  /// number of leading elements checked while `ok()` still held, which is
+  /// what a strict driver may deliver to its algorithm.
+  virtual std::size_t OnList(VertexId u, std::span<const VertexId> list) = 0;
 
   virtual void EndList(VertexId u) = 0;
 
@@ -164,6 +163,23 @@ class ModelContract {
   /// Records `v` as the run's violation iff none is recorded yet.
   void SetFirst(Violation v);
 
+  /// Runs the per-element step `check(v)` over `list` and returns the
+  /// ok-prefix (see OnList). It tracks where ok() flips rather than
+  /// deriving the prefix from the violation's position: a contract may
+  /// promote a violation recorded at an earlier position (the adjacency
+  /// model's provisional missing-pair), so the position alone is not the
+  /// prefix length.
+  template <typename CheckFn>
+  std::size_t CheckEach(std::span<const VertexId> list, CheckFn&& check) {
+    std::size_t ok_prefix = 0;
+    for (VertexId v : list) {
+      const bool was_ok = ok();
+      check(v);
+      if (was_ok && ok()) ++ok_prefix;
+    }
+    return ok_prefix;
+  }
+
   /// Graph shape + descriptor + first violation + counters + pass
   /// bookkeeping — the state every contract shares. Subclasses call these
   /// first from their Serialize/Restore, then handle their own state.
@@ -198,9 +214,9 @@ std::optional<Violation> ReadViolationOpt(snapshot::SnapshotReader& r);
 ///   - later passes must replay pass 0's element order exactly
 ///     (kReplayDivergence), mirroring the adjacency model's replay promise.
 /// BeginList/EndList events are accepted and counted but carry no
-/// contract meaning: u-runs are how edge streams package elements for the
-/// two-level delivery path, not a model promise, so contiguity violations
-/// are never reported here (tests/model_contract_test.cc pins this).
+/// contract meaning: u-runs are how edge streams package elements into the
+/// list grammar, not a model promise, so contiguity violations are never
+/// reported here (tests/model_contract_test.cc pins this).
 /// Works in O(m) space (seen-edge set + pass-0 order record).
 class EdgeStreamContract final : public ModelContract {
  public:
@@ -213,7 +229,7 @@ class EdgeStreamContract final : public ModelContract {
 
   void BeginPass(int pass) override;
   void BeginList(VertexId u) override;
-  void OnPair(VertexId u, VertexId v) override;
+  std::size_t OnList(VertexId u, std::span<const VertexId> list) override;
   void EndList(VertexId u) override;
   void EndPass(int pass) override;
 
@@ -221,8 +237,7 @@ class EdgeStreamContract final : public ModelContract {
   Status Restore(snapshot::SnapshotReader& r) override;
 
  private:
-  // The per-element checks, shared by OnPair and the base OnList loop so
-  // both deliveries observe identical positions and counters.
+  // OnList's per-element step: the checks for edge {u, v}.
   void CheckEdge(VertexId u, VertexId v);
   void Report(ViolationKind kind, VertexId list, std::string detail);
 

@@ -35,14 +35,14 @@
 //     typed error Status — a damaged checkpoint can never turn into a
 //     silently wrong estimate, an abort, or an unbounded allocation.
 //
-// Streams hand the sink whole lists (`OnList`) when they have them, and
-// single pairs (`OnPair`, e.g. FaultInjectingStream) otherwise; both
-// reach the session's one element entry point, `OnListBatch`, as spans.
+// Every stream hands the sink each list as one span (`OnList`, once per
+// list), and the sink hands the session that span, or the contract's
+// ok-prefix of it in a checked run, as the list's one `OnListBatch`.
 // The entry points are templates over the stream type — any type with
-// `graph()` / `ReplayPass` speaking the two-level event grammar drives
-// identically; edge streams package their elements as u-runs
-// (stream/arbitrary_stream.h) — and over the algorithm type: a concrete
-// (ideally `final`) algorithm pointer binds the per-list calls
+// `graph()` / `ReplayPass` speaking the BeginList / OnList / EndList
+// grammar drives identically; edge streams package their elements as
+// u-runs (stream/arbitrary_stream.h) — and over the algorithm type: a
+// concrete (ideally `final`) algorithm pointer binds the per-list calls
 // statically, a `StreamAlgorithm*` keeps them virtual, with bit-identical
 // reports and estimates either way.
 //
@@ -196,10 +196,6 @@ class SessionSink {
       if (!contract_->ok()) return;
     }
     session_->BeginList(u);
-  }
-
-  void OnPair(VertexId u, VertexId v) {
-    OnList(u, std::span<const VertexId>(&v, 1));
   }
 
   void OnList(VertexId u, std::span<const VertexId> list) {

@@ -1,5 +1,7 @@
 #include "stream/fault_injection.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,20 @@ FaultInjectingStream::FaultInjectingStream(const AdjacencyListStream* base,
       }
       fault_position_ = truncate_after_;
       return;
+    }
+  }
+
+  if (spec_.kind != FaultKind::kSplitList) {
+    auto list = base_->ListOf(target_list_);
+    corrupted_list_.assign(list.begin(), list.end());
+    const auto at = corrupted_list_.begin() +
+                    static_cast<std::ptrdiff_t>(target_index_);
+    if (spec_.kind == FaultKind::kDuplicatePair) {
+      corrupted_list_.insert(at, list[target_index_]);
+    } else if (spec_.kind == FaultKind::kReplayDivergence) {
+      std::iter_swap(at, at + 1);
+    } else {
+      corrupted_list_.erase(at);  // drop-pair, drop-reverse-edge
     }
   }
 

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -97,6 +98,16 @@ struct FaultSpec {
   Status ValidateFor(StreamModel model) const;
 };
 
+namespace internal {
+// One whole list (or u-run) in the stream grammar.
+template <typename Sink>
+void EmitList(Sink& sink, VertexId u, std::span<const VertexId> list) {
+  sink.BeginList(u);
+  sink.OnList(u, list);
+  sink.EndList(u);
+}
+}  // namespace internal
+
 /// An `AdjacencyListStream` with one injected model violation.
 class FaultInjectingStream {
  public:
@@ -134,89 +145,46 @@ class FaultInjectingStream {
   void ResetPasses() const { next_pass_ = 0; }
 
   /// Replays the next pass, injecting the configured fault if this is the
-  /// target pass. Mirrors `AdjacencyListStream::ReplayPass`, except that
-  /// delivery is always per-pair: faults split, reorder, drop, and inject
-  /// pairs mid-list, so there is no contiguous span to hand out — and a
-  /// corrupted "list" must not reach an algorithm's batch fast path as if
-  /// it were a well-formed one. Batch-capable sinks simply take their
-  /// OnPair route here (see stream/algorithm.h's default OnListBatch).
+  /// target pass. Mirrors `AdjacencyListStream::ReplayPass`: each list
+  /// still arrives as one span, possibly corrupted. A split list is two
+  /// slices of the base list, the second one reopening it after the next
+  /// list; a dropped, duplicated or swapped element comes from one
+  /// corrupted copy of the target list; a truncated pass ends with a prefix
+  /// of the cut list and no EndList.
   template <typename Sink>
   void ReplayPass(Sink&& sink) const {
-    const int pass = next_pass_++;
-    const bool corrupt = pass == spec_.pass && spec_.kind != FaultKind::kNone;
-    std::size_t emitted = 0;  // pairs delivered so far this pass
-    // Deferred second segment of a split list.
-    bool split_pending = false;
+    const FaultKind fault =
+        next_pass_++ == spec_.pass ? spec_.kind : FaultKind::kNone;
+    std::size_t emitted = 0;         // elements delivered this pass
+    std::span<const VertexId> owed;  // second slice of a split list
     for (VertexId u : base_->list_order()) {
-      if (corrupt && spec_.kind == FaultKind::kTruncatePass &&
-          emitted == truncate_after_) {
-        return;  // clean-boundary cut: this list never even begins
-      }
-      auto list = base_->ListOf(u);
-      if (corrupt && spec_.kind == FaultKind::kSplitList &&
-          u == target_list_) {
-        // First segment now; remember to emit the rest after the next list.
-        const std::size_t half = list.size() / 2;
-        sink.BeginList(u);
-        for (std::size_t i = 0; i < half; ++i) sink.OnPair(u, list[i]);
-        sink.EndList(u);
-        emitted += half;
-        split_pending = true;
+      std::span<const VertexId> list = base_->ListOf(u);
+      if (fault == FaultKind::kTruncatePass) {
+        if (emitted == truncate_after_) return;  // clean-boundary cut
+        if (truncate_after_ - emitted < list.size()) {
+          sink.BeginList(u);
+          sink.OnList(u, list.first(truncate_after_ - emitted));
+          return;  // mid-list: no EndList, no further lists
+        }
+      } else if (fault == FaultKind::kSplitList && u == target_list_) {
+        owed = list.subspan(list.size() / 2);
+        internal::EmitList(sink, u, list.first(list.size() / 2));
         continue;
+      } else if (fault != FaultKind::kNone && u == target_list_) {
+        list = corrupted_list_;
       }
-      sink.BeginList(u);
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        const VertexId v = list[i];
-        if (corrupt && u == target_list_ && i == target_index_) {
-          switch (spec_.kind) {
-            case FaultKind::kDropPair:
-            case FaultKind::kDropReverseEdge:
-              continue;  // this element vanishes
-            case FaultKind::kDuplicatePair:
-              sink.OnPair(u, v);
-              ++emitted;
-              break;
-            case FaultKind::kReplayDivergence:
-              // Swap entries target_index_ and target_index_ + 1.
-              sink.OnPair(u, list[i + 1]);
-              sink.OnPair(u, v);
-              emitted += 2;
-              ++i;
-              continue;
-            default:
-              break;
-          }
-        }
-        if (corrupt && spec_.kind == FaultKind::kTruncatePass &&
-            emitted == truncate_after_) {
-          return;  // mid-list, no EndList, no further lists
-        }
-        sink.OnPair(u, v);
-        ++emitted;
-      }
-      sink.EndList(u);
-      if (split_pending) {
-        split_pending = false;
-        EmitSecondSegment(sink, &emitted);
+      internal::EmitList(sink, u, list);
+      emitted += list.size();
+      if (!owed.empty()) {
+        internal::EmitList(sink, target_list_, owed);
+        owed = {};
       }
     }
-    // Target list was last in order: the second segment still reopens it.
-    if (split_pending) EmitSecondSegment(sink, &emitted);
+    // Target list was last in order: the second slice still reopens it.
+    if (!owed.empty()) internal::EmitList(sink, target_list_, owed);
   }
 
  private:
-  // Second half of the split target list, reopening a closed list.
-  template <typename Sink>
-  void EmitSecondSegment(Sink&& sink, std::size_t* emitted) const {
-    auto split = base_->ListOf(target_list_);
-    sink.BeginList(target_list_);
-    for (std::size_t i = split.size() / 2; i < split.size(); ++i) {
-      sink.OnPair(target_list_, split[i]);
-      ++*emitted;
-    }
-    sink.EndList(target_list_);
-  }
-
   const AdjacencyListStream* base_;
   FaultSpec spec_;
   mutable int next_pass_ = 0;
@@ -225,6 +193,8 @@ class FaultInjectingStream {
   std::size_t target_index_ = 0;  // index within that list
   std::size_t truncate_after_ = 0;
   std::size_t fault_position_ = 0;
+  // The target list with a drop, duplicate or swap applied.
+  std::vector<VertexId> corrupted_list_;
 };
 
 /// An edge-order stream (any `EdgeStreamBase` subclass) with one injected
@@ -233,12 +203,12 @@ class FaultInjectingStream {
 /// `Make` with the same typed Status `FaultSpec::ValidateFor` produces.
 ///
 /// Replay detail: every element is delivered as its own singleton u-run
-/// (BeginList/OnPair/EndList). Runs are packaging, not promises, so this is
-/// contract-neutral; it sidesteps re-deriving run boundaries around
-/// injected/removed elements. On a declared-order stream, a pass-0
-/// divergence or drop surfaces as kPermutationDivergence at the fault
-/// position; on an arbitrary stream, drops surface at end of pass as
-/// kMissingPair and only duplicates carry an in-stream position.
+/// (BeginList, a one-element OnList, EndList). Runs are packaging, not
+/// promises, so this is contract-neutral; it sidesteps re-deriving run
+/// boundaries around injected/removed elements. On a declared-order
+/// stream, a pass-0 divergence or drop surfaces as kPermutationDivergence
+/// at the fault position; on an arbitrary stream, drops surface at end of
+/// pass as kMissingPair and only duplicates carry an in-stream position.
 template <typename BaseT>
 class EdgeFaultInjectingStream {
   static_assert(std::is_base_of_v<EdgeStreamBase, BaseT>);
@@ -275,42 +245,32 @@ class EdgeFaultInjectingStream {
 
   template <typename Sink>
   void ReplayPass(Sink&& sink) const {
-    const int pass = next_pass_++;
-    const bool corrupt =
-        pass == spec_.pass && spec_.kind != FaultKind::kNone;
+    const FaultKind fault =
+        next_pass_++ == spec_.pass ? spec_.kind : FaultKind::kNone;
     const std::vector<Edge>& order = base_->order();
-    std::size_t emitted = 0;
-    auto emit = [&sink, &emitted](VertexId u, VertexId v) {
-      sink.BeginList(u);
-      sink.OnPair(u, v);
-      sink.EndList(u);
-      ++emitted;
+    auto emit = [&sink](const Edge& e) {
+      internal::EmitList(sink, e.u, std::span<const VertexId>(&e.v, 1));
     };
     for (std::size_t i = 0; i < order.size(); ++i) {
-      if (corrupt && spec_.kind == FaultKind::kTruncatePass &&
-          emitted == truncate_after_) {
-        return;
-      }
-      const Edge& e = order[i];
-      if (corrupt && i == target_pos_) {
-        switch (spec_.kind) {
+      if (fault == FaultKind::kTruncatePass && i == truncate_after_) return;
+      if (i == target_pos_) {
+        switch (fault) {
           case FaultKind::kDropPair:
             continue;  // this element vanishes
           case FaultKind::kDuplicatePair:
-            emit(e.u, e.v);
-            emit(e.u, e.v);
-            continue;
+            emit(order[i]);
+            break;
           case FaultKind::kReplayDivergence:
             // Swap elements target_pos_ and target_pos_ + 1.
-            emit(order[i + 1].u, order[i + 1].v);
-            emit(e.u, e.v);
+            emit(order[i + 1]);
+            emit(order[i]);
             ++i;
             continue;
           default:
             break;
         }
       }
-      emit(e.u, e.v);
+      emit(order[i]);
     }
   }
 

@@ -12,11 +12,10 @@
 // service stream, a driver run and a protocol run of the same event
 // sequence produce the same report by construction.
 //
-// Elements arrive through one entry point, `OnListBatch`, carrying a whole
-// adjacency list or a prefix/slice of one (the strict driver hands over a
-// contract's ok-prefix; streams that emit single pairs hand over
-// one-element spans). The algorithm-facing contract (stream/algorithm.h)
-// makes every such split indistinguishable from per-pair delivery.
+// Elements arrive through one entry point, `OnListBatch`, called exactly
+// once per list: the whole list, or in a checked run the contract's
+// ok-prefix of it (stream/driver.h). Every stream emits one span per list,
+// so the algorithm sees the stream's own list boundaries.
 //
 // Space audit: every sample reads the algorithm's self-reported
 // `CurrentSpaceBytes()` and, when `memory_domain()` is non-null, the
@@ -109,9 +108,8 @@ inline constexpr std::size_t kListSpanStride = 1024;
 /// type-erased form — both produce bit-identical reports.
 ///
 /// Lifecycle per pass: BeginPass(); for each list BeginList(u),
-/// OnListBatch(u, ...) any number of times, EndList(u); EndPass(). The
-/// cursor `pass()` advances at EndPass; `finished()` turns true after the
-/// last pass ends.
+/// OnListBatch(u, list) once, EndList(u); EndPass(). The cursor `pass()`
+/// advances at EndPass; `finished()` turns true after the last pass ends.
 template <typename AlgoT = StreamAlgorithm>
 class StreamSession {
   static_assert(std::is_base_of_v<StreamAlgorithm, AlgoT>);
@@ -176,7 +174,7 @@ class StreamSession {
     algorithm_->BeginList(u);
   }
 
-  /// All or part of u's list, in stream order.
+  /// u's list in stream order, or a checked run's ok-prefix of it.
   void OnListBatch(VertexId u, std::span<const VertexId> list) {
     algorithm_->OnListBatch(u, list);
     report_.pairs_processed += list.size();

@@ -113,8 +113,9 @@ void AdjacencyListContract::BeginList(VertexId u) {
   seen_in_list_.clear();
 }
 
-void AdjacencyListContract::OnPair(VertexId u, VertexId v) {
-  CheckPair(u, v);
+std::size_t AdjacencyListContract::OnList(VertexId u,
+                                          std::span<const VertexId> list) {
+  return CheckEach(list, [&](VertexId v) { CheckPair(u, v); });
 }
 
 void AdjacencyListContract::CheckPair(VertexId u, VertexId v) {

@@ -4,10 +4,10 @@
 // contiguous — plus, for multi-pass algorithms, the replay promise that later
 // passes deliver the identical order. Every algorithm in Table 1 silently
 // assumes both. `AdjacencyListContract` turns those assumptions into an
-// executable contract: it consumes the same BeginPass/BeginList/OnPair/
-// EndList/EndPass events an algorithm does, uses O(n) working space, and
-// reports the *first* violation together with its stream position (pass,
-// pair index, list). It is the adjacency-list member of the per-model
+// executable contract: it consumes the BeginPass / BeginList / OnList /
+// EndList / EndPass events every stream emits, checks each list's pairs one
+// at a time, uses O(n) working space, and reports the *first* violation
+// together with its stream position (pass, pair index, list). It is the adjacency-list member of the per-model
 // contract hierarchy rooted at stream/contract.h — list-contiguity checks
 // live ONLY here; the edge-order models get `EdgeStreamContract` instead.
 //
@@ -63,7 +63,7 @@ class AdjacencyListContract final : public ModelContract {
 
   void BeginPass(int pass) override;
   void BeginList(VertexId u) override;
-  void OnPair(VertexId u, VertexId v) override;
+  std::size_t OnList(VertexId u, std::span<const VertexId> list) override;
   void EndList(VertexId u) override;
   void EndPass(int pass) override;
 
@@ -74,9 +74,7 @@ class AdjacencyListContract final : public ModelContract {
   Status Restore(snapshot::SnapshotReader& r) override;
 
  private:
-  // The per-pair contract checks, shared verbatim by OnPair and the base
-  // OnList loop so the two deliveries observe identical positions and
-  // counters.
+  // OnList's per-element step: the checks for pair (u, v).
   void CheckPair(VertexId u, VertexId v);
 
   void Report(ViolationKind kind, VertexId list, std::string detail);

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,13 +17,15 @@
 namespace cyclestream {
 namespace {
 
-// Records the unified two-level grammar an edge stream speaks: BeginList /
-// OnPair / EndList, with each pair being one edge (canonical u < v).
+// Records the list grammar an edge stream speaks: BeginList / OnList /
+// EndList, with each element being one edge (canonical u < v).
 struct GrammarRecorder {
   std::vector<Edge> edges;
   std::vector<VertexId> runs;
   void BeginList(VertexId u) { runs.push_back(u); }
-  void OnPair(VertexId u, VertexId v) { edges.push_back({u, v}); }
+  void OnList(VertexId u, std::span<const VertexId> list) {
+    for (VertexId v : list) edges.push_back({u, v});
+  }
   void EndList(VertexId u) { (void)u; }
 };
 

@@ -261,17 +261,6 @@ class CrossCheckTest(unittest.TestCase):
         errors = br.check_timelines("m", self.grouped([tl_bad]))
         self.assertTrue(any("max_reported_bytes" in e for e in errors))
 
-    def test_batched_throughput_must_not_regress(self):
-        def curves(batched_y):
-            return [record("curve_point", curve="replay/er/pairwise",
-                           x=1, y=100.0),
-                    record("curve_point", curve="replay/er/batched",
-                           x=1, y=batched_y)]
-        self.assertEqual(
-            br.check_throughput_pairs("m", self.grouped(curves(150.0))), [])
-        errors = br.check_throughput_pairs("m", self.grouped(curves(50.0)))
-        self.assertTrue(any("below pairwise" in e for e in errors))
-
     def test_driver_counters_ordering(self):
         ok = record("metrics", metrics={"counters": {
             "driver.passes": 4, "driver.passes_requested": 4}})

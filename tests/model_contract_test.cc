@@ -9,12 +9,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/arbitrary_triangle.h"
+#include "core/exact_stream.h"
 #include "core/one_pass_triangle.h"
 #include "core/random_order_triangle.h"
 #include "core/two_pass_triangle.h"
@@ -38,15 +41,9 @@ std::optional<Violation> FirstViolation(const StreamT& stream,
                                         int passes = 1) {
   if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
   auto contract = MakeContractForStream(stream);
-  struct Forward {
-    decltype(contract)* c;
-    void BeginList(VertexId u) { c->BeginList(u); }
-    void OnPair(VertexId u, VertexId v) { c->OnPair(u, v); }
-    void EndList(VertexId u) { c->EndList(u); }
-  } sink{&contract};
   for (int pass = 0; pass < passes; ++pass) {
     contract.BeginPass(pass);
-    stream.ReplayPass(sink);
+    stream.ReplayPass(contract);
     contract.EndPass(pass);
   }
   return contract.violation();
@@ -115,7 +112,7 @@ TEST(ModelContracts, ContiguityViolationsNotReportedOnArbitraryStreams) {
     // One singleton run per element: every vertex's "list" is split into
     // as many reopened segments as it has edges.
     contract.BeginList(e.u);
-    contract.OnPair(e.u, e.v);
+    contract.OnList(e.u, std::span<const VertexId>(&e.v, 1));
     contract.EndList(e.u);
   }
   contract.EndPass(0);
@@ -153,10 +150,10 @@ TEST(ModelContracts, ContiguityViolationsNotReportedOnRandomOrderStreams) {
   auto list = adj.ListOf(u0);
   ASSERT_GE(list.size(), 2u);
   list_contract.BeginList(u0);
-  list_contract.OnPair(u0, list[0]);
+  list_contract.OnList(u0, list.first(1));
   list_contract.EndList(u0);
   list_contract.BeginList(u0);  // reopens a closed list: split
-  list_contract.OnPair(u0, list[1]);
+  list_contract.OnList(u0, list.subspan(1, 1));
   list_contract.EndList(u0);
   ASSERT_FALSE(list_contract.ok());
   EXPECT_EQ(list_contract.violation()->kind, ViolationKind::kSplitList);
@@ -417,6 +414,193 @@ TEST(DriverModelGate, ChecksAlgorithmModelAgainstStreamModel) {
     ASSERT_FALSE(run.status.ok());
     EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
   }
+}
+
+// --- The contract's span path, against hand-corrupted lists. ---
+
+// Hand-built list stream whose lists can be corrupted.
+struct ScriptedListStream {
+  const Graph* g = nullptr;
+  std::vector<std::pair<VertexId, std::vector<VertexId>>> lists;
+
+  const Graph& graph() const { return *g; }
+  std::size_t stream_length() const { return 2 * g->num_edges(); }
+
+  template <typename Sink>
+  void ReplayPass(Sink&& fn) const {
+    for (const auto& [u, list] : lists) {
+      fn.BeginList(u);
+      fn.OnList(u, std::span<const VertexId>(list));
+      fn.EndList(u);
+    }
+  }
+};
+
+ScriptedListStream ScriptedFrom(const Graph& g, const AdjacencyListStream& s) {
+  ScriptedListStream scripted;
+  scripted.g = &g;
+  for (VertexId u : s.list_order()) {
+    auto span = s.ListOf(u);
+    scripted.lists.push_back({u, {span.begin(), span.end()}});
+  }
+  return scripted;
+}
+
+// Where a script corrupted one list: its index in the script and the
+// stream position of its first element.
+struct Corruption {
+  std::size_t list_index = 0;
+  std::size_t list_start = 0;
+};
+
+// Applies `corrupt` to the first list with at least two elements.
+template <typename Fn>
+Corruption CorruptFirstLongList(ScriptedListStream* scripted, Fn&& corrupt) {
+  Corruption at;
+  for (auto& [u, list] : scripted->lists) {
+    if (list.size() >= 2) {
+      corrupt(list);
+      return at;
+    }
+    ++at.list_index;
+    at.list_start += list.size();
+  }
+  ADD_FAILURE() << "no list with two elements";
+  return at;
+}
+
+// One pass of `scripted` through a fresh contract: the first violation
+// must be `kind` at `position` in list `at`, it must be the only one
+// counted, and each list's ok-prefix must be `prefixes`.
+void ExpectSpanVerdict(const ScriptedListStream& scripted, Corruption at,
+                       ViolationKind kind, std::size_t position,
+                       const std::vector<std::size_t>& prefixes) {
+  AdjacencyListContract contract(&scripted.graph());
+  contract.BeginPass(0);
+  std::vector<std::size_t> got_prefixes;
+  std::uint64_t events = 2;  // BeginPass + EndPass
+  std::uint64_t pairs = 0;
+  for (const auto& [u, list] : scripted.lists) {
+    contract.BeginList(u);
+    got_prefixes.push_back(contract.OnList(u, list));
+    contract.EndList(u);
+    events += 2 + list.size();
+    pairs += list.size();
+  }
+  contract.EndPass(0);
+
+  ASSERT_FALSE(contract.ok());
+  const Violation& v = *contract.violation();
+  EXPECT_EQ(v.kind, kind) << v.ToString();
+  EXPECT_EQ(v.pass, 0);
+  EXPECT_EQ(v.position, position) << v.ToString();
+  EXPECT_EQ(v.list, scripted.lists[at.list_index].first) << v.ToString();
+  const auto& counters = contract.counters();
+  EXPECT_EQ(counters.events_checked, events);
+  EXPECT_EQ(counters.pairs_checked, pairs);
+  EXPECT_EQ(counters.violations_total, 1u);
+  EXPECT_EQ(counters.violations_by_kind[static_cast<std::size_t>(kind)], 1u);
+  EXPECT_EQ(got_prefixes, prefixes);
+}
+
+// Full ok-prefixes before the corrupted list, `at_list` for it, and none
+// after it (the contract has stopped holding).
+std::vector<std::size_t> PrefixesCutAt(const ScriptedListStream& scripted,
+                                       Corruption at, std::size_t at_list) {
+  std::vector<std::size_t> prefixes(scripted.lists.size(), 0);
+  for (std::size_t i = 0; i < at.list_index; ++i) {
+    prefixes[i] = scripted.lists[i].second.size();
+  }
+  prefixes[at.list_index] = at_list;
+  return prefixes;
+}
+
+TEST(ValidatorSpanPath, DuplicatePairAtScriptedPosition) {
+  Graph g = gen::ErdosRenyiGnp(30, 0.3, 5);
+  AdjacencyListStream s(&g, 11);
+  ScriptedListStream scripted = ScriptedFrom(g, s);
+  std::size_t degree = 0;
+  // Append a second copy of the list's second element.
+  const Corruption at = CorruptFirstLongList(&scripted, [&](auto& list) {
+    degree = list.size();
+    list.push_back(list[1]);
+  });
+  // The copy is the list's last element; everything before it is accepted.
+  ExpectSpanVerdict(scripted, at, ViolationKind::kDuplicatePair,
+                    at.list_start + degree,
+                    PrefixesCutAt(scripted, at, degree));
+}
+
+TEST(ValidatorSpanPath, ForeignPairAtScriptedPosition) {
+  Graph g = gen::ErdosRenyiGnp(30, 0.3, 6);
+  AdjacencyListStream s(&g, 12);
+  ScriptedListStream scripted = ScriptedFrom(g, s);
+  // Insert a non-edge at index 1: vertex ids above n are unknown.
+  const Corruption at = CorruptFirstLongList(&scripted, [&](auto& list) {
+    list.insert(list.begin() + 1, static_cast<VertexId>(g.num_vertices() + 1));
+  });
+  ExpectSpanVerdict(scripted, at, ViolationKind::kForeignPair,
+                    at.list_start + 1, PrefixesCutAt(scripted, at, 1));
+}
+
+TEST(ValidatorSpanPath, MissingPairAtScriptedPosition) {
+  Graph g = gen::ErdosRenyiGnp(30, 0.3, 7);
+  AdjacencyListStream s(&g, 13);
+  ScriptedListStream scripted = ScriptedFrom(g, s);
+  std::size_t kept = 0;
+  // Drop the list's last element. The violation is stashed at EndList (at
+  // the short list's end) and promoted only at EndPass, so ok() holds for
+  // the whole pass and every list's ok-prefix is the whole list.
+  const Corruption at = CorruptFirstLongList(&scripted, [&](auto& list) {
+    list.pop_back();
+    kept = list.size();
+  });
+  std::vector<std::size_t> whole;
+  for (const auto& entry : scripted.lists) whole.push_back(entry.second.size());
+  ExpectSpanVerdict(scripted, at, ViolationKind::kMissingPair,
+                    at.list_start + kept, whole);
+}
+
+// Strict driver end-to-end over spans: the algorithm receives exactly the
+// elements before the inserted duplicate, and a checkpoint follows every
+// list the contract accepted.
+TEST(ValidatorSpanPath, CheckedRunDeliversOkPrefix) {
+  Graph g = gen::ErdosRenyiGnp(30, 0.3, 8);
+  AdjacencyListStream s(&g, 14);
+  ScriptedListStream scripted = ScriptedFrom(g, s);
+  // Duplicate the first element of a list in the middle of the pass, at
+  // index 1.
+  std::size_t corrupted = 0;
+  std::size_t duplicate_at = 0;  // stream index of the inserted copy
+  for (std::size_t i = 0; i < scripted.lists.size(); ++i) {
+    auto& list = scripted.lists[i].second;
+    if (i >= scripted.lists.size() / 2 && list.size() >= 2) {
+      const VertexId copy = list[0];
+      list.insert(list.begin() + 1, copy);
+      corrupted = i;
+      duplicate_at += 1;
+      break;
+    }
+    duplicate_at += list.size();
+  }
+  ASSERT_GE(scripted.lists[corrupted].second.size(), 3u);
+
+  core::ExactStreamTriangleCounter algo;
+  std::size_t checkpoints = 0;
+  auto count = [&](int, std::size_t, std::vector<std::uint8_t>) {
+    ++checkpoints;
+    return CheckpointAction::kContinue;
+  };
+  CheckpointedRun run = RunPassesCheckedWithCheckpoints(scripted, &algo, count);
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status.message().find("duplicate-pair at pass 0 pair " +
+                                      std::to_string(duplicate_at)),
+            std::string::npos)
+      << run.status.ToString();
+  EXPECT_FALSE(run.stopped);
+  EXPECT_EQ(run.report.pairs_processed, duplicate_at);
+  EXPECT_EQ(checkpoints, corrupted);
 }
 
 }  // namespace

@@ -173,8 +173,8 @@ std::vector<Workload> BuildWorkloads(std::uint64_t seed) {
           struct Tape {
             std::vector<Workload::Event>* events;
             void BeginList(VertexId u) { events->push_back({false, u, {}}); }
-            void OnPair(VertexId, VertexId v) {
-              events->back().list.push_back(v);
+            void OnList(VertexId, std::span<const VertexId> list) {
+              events->back().list.assign(list.begin(), list.end());
             }
             void EndList(VertexId) {}
           } tape{&w.events};
@@ -449,7 +449,11 @@ TEST(ServiceChaos, KillAndRestoreAtAnyBatchBoundaryIsBitIdentical) {
       manifests.push_back(std::move(m).value());
     }
     std::size_t lost = 0;
-    for (int s = 0; s < svc.shards(); ++s) lost += svc.KillShard(s).get();
+    for (int s = 0; s < svc.shards(); ++s) {
+      StatusOr<std::size_t> killed = svc.KillShard(s).get();
+      ASSERT_TRUE(killed.ok()) << killed.status().ToString();
+      lost += *killed;
+    }
     EXPECT_EQ(lost, work.size());
     // Dead streams answer kNotFound until restored.
     EXPECT_EQ(svc.Query(work[0].id).get().status().code(),
@@ -665,7 +669,9 @@ TEST(ServiceErrors, UnknownDuplicateAndMisusedStreams) {
   StatusOr<std::vector<std::uint8_t>> manifest =
       svc.CheckpointShard(shard).get();
   ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(svc.KillShard(shard).get() >= 1);
+  StatusOr<std::size_t> killed = svc.KillShard(shard).get();
+  ASSERT_TRUE(killed.ok());
+  ASSERT_GE(*killed, 1u);
   ASSERT_TRUE(svc.RestoreShard(shard, *manifest).get().ok());
   StatusOr<StreamView> still = svc.Query(1).get();
   ASSERT_FALSE(still.ok());
@@ -676,6 +682,8 @@ TEST(ServiceErrors, UnknownDuplicateAndMisusedStreams) {
     EXPECT_EQ(svc.CheckpointShard(bad).get().status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(svc.RestoreShard(bad, *manifest).get().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(svc.KillShard(bad).get().status().code(),
               StatusCode::kInvalidArgument);
   }
 }

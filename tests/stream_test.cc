@@ -1,5 +1,6 @@
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@ struct Recorder {
   std::vector<VertexId> lists;
   std::vector<std::pair<VertexId, VertexId>> pairs;
   void BeginList(VertexId u) { lists.push_back(u); }
-  void OnPair(VertexId u, VertexId v) { pairs.push_back({u, v}); }
+  void OnList(VertexId u, std::span<const VertexId> list) {
+    for (VertexId v : list) pairs.push_back({u, v});
+  }
   void EndList(VertexId) {}
 };
 
