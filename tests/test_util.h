@@ -208,6 +208,36 @@ inline std::vector<SnapshotEstimator> SnapshotEstimators(std::uint64_t seed) {
   return out;
 }
 
+/// Hands every list to `inner` one OnPair per element (the default
+/// OnListBatch) instead of through `inner`'s own OnListBatch; the other
+/// calls a checkpointed run makes forward. A run through it must be
+/// bit-identical to a run of an adjacency-list estimator `inner` itself:
+/// the list entry point and the per-element step agree.
+class PerElementDelivery final : public stream::StreamAlgorithm {
+ public:
+  explicit PerElementDelivery(stream::StreamAlgorithm* inner)
+      : inner_(inner) {}
+
+  int passes() const override { return inner_->passes(); }
+  void BeginPass(int pass) override { inner_->BeginPass(pass); }
+  void BeginList(VertexId u) override { inner_->BeginList(u); }
+  void OnPair(VertexId u, VertexId v) override { inner_->OnPair(u, v); }
+  void EndList(VertexId u) override { inner_->EndList(u); }
+  void EndPass(int pass) override { inner_->EndPass(pass); }
+  std::size_t CurrentSpaceBytes() const override {
+    return inner_->CurrentSpaceBytes();
+  }
+  const obs::MemoryDomain* memory_domain() const override {
+    return inner_->memory_domain();
+  }
+  void Serialize(snapshot::SnapshotWriter& w) const override {
+    inner_->Serialize(w);
+  }
+
+ private:
+  stream::StreamAlgorithm* inner_;
+};
+
 /// Asserts two run reports equal field-by-field, per-pass included.
 inline void ExpectReportsEqual(const stream::RunReport& got,
                                const stream::RunReport& want) {
